@@ -80,6 +80,11 @@ class CrfModel:
         return len(self.labels)
 
     @property
+    def emission_weights(self) -> np.ndarray:
+        """[F, L] view of the emission weights."""
+        return self.weights[:len(self.feature_index) * self.n_labels].reshape(-1, self.n_labels)
+
+    @property
     def transitions(self) -> np.ndarray:
         L = self.n_labels
         return self.weights[len(self.feature_index) * L:].reshape(L, L)
@@ -89,9 +94,8 @@ class CrfModel:
         return [[index[f] for f in feats if f in index] for feats in feats_per_pos]
 
     def emissions(self, fids_per_pos: list[list[int]]) -> np.ndarray:
-        L = self.n_labels
-        emission_block = self.weights[:len(self.feature_index) * L].reshape(-1, L)
-        out = np.zeros((len(fids_per_pos), L))
+        emission_block = self.emission_weights
+        out = np.zeros((len(fids_per_pos), self.n_labels))
         for i, fids in enumerate(fids_per_pos):
             if fids:
                 out[i] = emission_block[fids].sum(axis=0)
@@ -122,6 +126,9 @@ class CrfModel:
             raise ValidationError(f"unsupported model format {data.get('format_version')!r}")
         model = cls(labels=tuple(data["labels"]), feature_index=dict(data["feature_index"]),
                     weights=np.asarray(data["weights"], dtype=np.float64), l2=float(data["l2"]))
+        ids = list(model.feature_index.values())
+        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ValidationError("feature ids must be exactly 0..F-1, each used once")
         expected = len(model.feature_index) * model.n_labels + model.n_labels ** 2
         if model.weights.shape != (expected,):
             raise ValidationError(f"weight vector has {model.weights.size} entries, "
@@ -149,10 +156,10 @@ class TrainConfig:
             raise ValidationError("hyperparameters must be positive (decay >= 0)")
 
 
-def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, stable in log space."""
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
 
 
 def _prepare(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
@@ -160,18 +167,65 @@ def _prepare(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
 
 
 def _forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """Forward log scores for emissions [..., n, L]: one sentence or a batch of equal length."""
     alpha = np.empty_like(emissions)
-    alpha[0] = emissions[0]
-    for i in range(1, len(emissions)):
-        alpha[i] = _logsumexp(alpha[i - 1][:, None] + transitions, axis=0) + emissions[i]
+    alpha[..., 0, :] = emissions[..., 0, :]
+    for i in range(1, emissions.shape[-2]):
+        a = alpha[..., i - 1, :, None] + transitions
+        m = a.max(axis=-2)
+        alpha[..., i, :] = m + np.log(np.exp(a - m[..., None, :]).sum(axis=-2)) + emissions[..., i, :]
     return alpha
 
 
 def _backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     beta = np.zeros_like(emissions)
     for i in range(len(emissions) - 2, -1, -1):
-        beta[i] = _logsumexp(transitions + (emissions[i + 1] + beta[i + 1])[None, :], axis=1)
+        a = transitions + (emissions[i + 1] + beta[i + 1])
+        m = a.max(axis=1)
+        beta[i] = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
     return beta
+
+
+def _gold_score(emissions: np.ndarray, transitions: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Score of the label path y [..., n] under emissions [..., n, L]."""
+    unary = np.take_along_axis(emissions, y[..., None], axis=-1)[..., 0].sum(axis=-1)
+    return unary + transitions[y[..., :-1], y[..., 1:]].sum(axis=-1)
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    """Sentences compiled against one model's feature index and label set.
+
+    `feature_ids[k]` is an int32 [n, 14] array holding the id of each
+    position's feature strings, -1 where the model lacks the feature;
+    `label_ids[k]` holds the n gold label ids.
+    """
+
+    feature_ids: list[np.ndarray]
+    label_ids: list[np.ndarray]
+
+
+def _compile(model: CrfModel,
+             data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
+    """Map each (texts, labels) pair to feature-id and label-id arrays, once."""
+    index = model.feature_index
+    feature_ids, label_ids = [], []
+    for k, (texts, labels) in enumerate(data):
+        if len(texts) != len(labels):
+            raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
+        if not texts:
+            raise ValidationError(f"sequence {k} is empty")
+        feature_ids.append(np.array([[index.get(f, -1) for f in feats]
+                                     for feats in extract_features(texts)], dtype=np.int32))
+        label_ids.append(np.array(model.label_ids(labels), dtype=np.intp))
+    return _Compiled(feature_ids, label_ids)
+
+
+def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Emission scores [..., n, L] of compiled feature ids [..., n, 14]; id -1 adds nothing."""
+    rows = emission_weights[ids]
+    rows[ids < 0] = 0.0
+    return rows.sum(axis=-2)
 
 
 def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
@@ -182,12 +236,9 @@ def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
 
 
 def sequence_score(model: CrfModel, texts: Sequence[str], labels: Sequence[str]) -> float:
-    emissions = _prepare(model, texts)
-    y = model.label_ids(labels)
-    score = float(sum(emissions[i, yi] for i, yi in enumerate(y)))
-    transitions = model.transitions
-    score += float(sum(transitions[a, b] for a, b in zip(y, y[1:])))
-    return score
+    compiled = _compile(model, [(texts, labels)])
+    emissions = _emissions(model.emission_weights, compiled.feature_ids[0])
+    return float(_gold_score(emissions, model.transitions, compiled.label_ids[0]))
 
 
 def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
@@ -200,50 +251,67 @@ def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     return np.exp(alpha + beta - log_z)
 
 
+def _sentence_gradient(model: CrfModel, ids: np.ndarray, y: np.ndarray
+                       ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """NLL of one compiled sentence, without the L2 term, and its gradient.
+
+    Returns `(nll, rows, emission_grad, transition_grad)`. The gradient is
+    model expectations (forward-backward marginals) minus empirical counts,
+    plus l2 * weights; outside the feature ids `rows` and the transition
+    block it is just l2 * weights. Each coordinate adds its terms position
+    by position, in sentence order: per-sentence SGD amplifies rounding, so
+    another summation order would train a different model.
+    """
+    weights = model.emission_weights
+    transitions = model.transitions
+    emissions = _emissions(weights, ids)
+    alpha = _forward(emissions, transitions)
+    beta = _backward(emissions, transitions)
+    log_z = _logsumexp(alpha[-1])
+    nll = float(log_z - _gold_score(emissions, transitions, y))
+
+    unary = np.exp(alpha + beta - log_z)
+    unary[np.arange(len(y)), y] -= 1.0
+    rows, local = np.unique(ids, return_inverse=True)
+    emission_grad = model.l2 * weights[rows]
+    np.add.at(emission_grad, local.reshape(ids.shape), unary[:, None, :])
+    first = 1 if rows[0] < 0 else 0  # id -1 stands for features the model lacks
+
+    pairwise = np.exp(alpha[:-1, :, None] + transitions
+                      + (emissions[1:] + beta[1:])[:, None, :] - log_z)
+    transition_grad = model.l2 * transitions
+    for i in range(1, len(y)):
+        transition_grad += pairwise[i - 1]
+        transition_grad[y[i - 1], y[i]] -= 1.0
+    return nll, rows[first:], emission_grad[first:], transition_grad
+
+
+def _dense_gradient(model: CrfModel, rows: np.ndarray, emission_grad: np.ndarray,
+                    transition_grad: np.ndarray) -> np.ndarray:
+    grad = model.l2 * model.weights
+    split = len(model.feature_index) * model.n_labels
+    grad[:split].reshape(-1, model.n_labels)[rows] = emission_grad
+    grad[split:] = transition_grad.ravel()
+    return grad
+
+
 def nll_and_gradient(model: CrfModel, texts: Sequence[str],
                      gold_labels: Sequence[str]) -> tuple[float, np.ndarray]:
-    """Negative log-likelihood with an L2 term, and its exact gradient.
+    """Negative log-likelihood with an L2 term, and its exact dense gradient.
 
     Gradient = model expectations (forward-backward marginals) minus
     empirical counts, plus l2 * weights.
     """
-    if len(texts) != len(gold_labels):
-        raise ValidationError("texts and gold labels differ in length")
-    fids = model.feature_ids(extract_features(texts))
-    emissions = model.emissions(fids)
-    transitions = model.transitions
-    y = model.label_ids(gold_labels)
-    L = model.n_labels
-    F = len(model.feature_index)
-
-    alpha = _forward(emissions, transitions)
-    beta = _backward(emissions, transitions)
-    log_z = float(_logsumexp(alpha[-1]))
-    unary = np.exp(alpha + beta - log_z)
-
-    gold = float(sum(emissions[i, yi] for i, yi in enumerate(y)))
-    gold += float(sum(transitions[a, b] for a, b in zip(y, y[1:])))
-    nll = log_z - gold + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
-
-    grad = model.l2 * model.weights
-    emission_grad = grad[:F * L].reshape(F, L)
-    for i, fid_list in enumerate(fids):
-        if not fid_list:
-            continue
-        row = unary[i].copy()
-        row[y[i]] -= 1.0
-        emission_grad[fid_list] += row
-    transition_grad = grad[F * L:].reshape(L, L)
-    for i in range(1, len(emissions)):
-        pairwise = np.exp(alpha[i - 1][:, None] + transitions
-                          + (emissions[i] + beta[i])[None, :] - log_z)
-        transition_grad += pairwise
-        transition_grad[y[i - 1], y[i]] -= 1.0
-    return nll, grad
+    compiled = _compile(model, [(texts, gold_labels)])
+    nll, *sparse = _sentence_gradient(model, compiled.feature_ids[0], compiled.label_ids[0])
+    nll += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
+    return nll, _dense_gradient(model, *sparse)
 
 
 def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
     """Highest-scoring label sequence; ties resolve to the earlier label index."""
+    if not texts:
+        return []
     emissions = _prepare(model, texts)
     transitions = model.transitions
     n, L = emissions.shape
@@ -262,14 +330,27 @@ def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
     return [model.labels[i] for i in path]
 
 
-def dataset_nll(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> float:
+def dataset_nll(model: CrfModel,
+                data: Sequence[tuple[Sequence[str], Sequence[str]]] | _Compiled) -> float:
+    """NLL of every sequence plus the L2 term.
+
+    `data` is (texts, labels) pairs or their `_compile` result. One
+    forward recursion runs per sequence length, over all sequences of that
+    length at once.
+    """
+    if not isinstance(data, _Compiled):
+        data = _compile(model, data)
+    by_length: dict[int, list[int]] = {}
+    for k, y in enumerate(data.label_ids):
+        by_length.setdefault(len(y), []).append(k)
+    weights = model.emission_weights
+    transitions = model.transitions
     total = 0.0
-    for texts, labels in data:
-        emissions = _prepare(model, texts)
-        y = model.label_ids(labels)
-        gold = float(sum(emissions[i, yi] for i, yi in enumerate(y)))
-        gold += float(sum(model.transitions[a, b] for a, b in zip(y, y[1:])))
-        total += float(_logsumexp(_forward(emissions, model.transitions)[-1])) - gold
+    for members in by_length.values():
+        emissions = _emissions(weights, np.stack([data.feature_ids[k] for k in members]))
+        y = np.stack([data.label_ids[k] for k in members])
+        log_z = _logsumexp(_forward(emissions, transitions)[:, -1])
+        total += float(np.sum(log_z - _gold_score(emissions, transitions, y)))
     return total + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
 
 
@@ -278,27 +359,36 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     """Per-sequence SGD with a 1/(1 + decay*t) learning-rate schedule.
 
     Mutates the model in place (single-threaded) and returns the full-dataset
-    NLL before training and after each epoch.
+    NLL before training and after each epoch. The data is compiled once; with
+    l2 = 0 a step updates only the sequence's feature rows and the
+    transitions, the only weights with a nonzero gradient.
     """
     if not data:
         raise ValidationError("empty training set")
+    compiled = _compile(model, data)
     rng = random.Random(config.seed)
     order = list(range(len(data)))
-    history = [dataset_nll(model, data)]
+    history = [dataset_nll(model, compiled)]
+    emission_weights = model.emission_weights
+    transitions = model.transitions
     step = 0
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            texts, labels = data[idx]
-            nll, grad = nll_and_gradient(model, texts, labels)
+            nll, rows, emission_grad, transition_grad = _sentence_gradient(
+                model, compiled.feature_ids[idx], compiled.label_ids[idx])
             if not np.isfinite(nll):
                 raise TrainingDiverged(
                     f"NLL became non-finite at epoch {epoch}, step {step} "
                     f"(lr={config.learning_rate}, decay={config.decay})")
             lr = config.learning_rate / (1.0 + config.decay * step)
-            model.weights -= lr * grad
+            if model.l2:
+                model.weights -= lr * _dense_gradient(model, rows, emission_grad, transition_grad)
+            else:
+                emission_weights[rows] -= lr * emission_grad
+                transitions -= lr * transition_grad
             step += 1
-        epoch_nll = dataset_nll(model, data)
+        epoch_nll = dataset_nll(model, compiled)
         if not np.isfinite(epoch_nll):
             raise TrainingDiverged(f"NLL became non-finite after epoch {epoch}")
         history.append(epoch_nll)

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from claimaug import synth
 from claimaug.crf import (
     CrfModel,
     TrainConfig,
@@ -17,7 +20,8 @@ from claimaug.crf import (
     train,
     viterbi,
 )
-from claimaug.errors import TrainingDiverged
+from claimaug.errors import TrainingDiverged, ValidationError
+from claimaug.senttok import split_sentences
 
 
 def all_sequence_scores(model, texts):
@@ -186,6 +190,10 @@ class TestViterbi:
             model, texts, _ = random_instance(rng)
             assert viterbi(model, texts) == brute_viterbi(model, texts)
 
+    def test_empty_sequence(self):
+        model = CrfModel.build(["A", "B"], [["x"]])
+        assert viterbi(model, []) == []
+
     def test_single_label_constant(self):
         model = CrfModel.build(["A"], [["x", "y"]])
         assert viterbi(model, ["x", "y"]) == ["A", "A"]
@@ -265,7 +273,142 @@ class TestTrain:
         data = separable_data()
         model = CrfModel.build(["A", "B"], [t for t, _ in data])
         history = train(model, data, TrainConfig(epochs=2, learning_rate=0.1, seed=0))
-        assert history[-1] == pytest.approx(dataset_nll(model, data))
+        assert history[-1] == dataset_nll(model, data)
+
+    @pytest.mark.parametrize("data", [[(["aapple"], ["A", "B"])],
+                                      [(["aapple"], ["A"]), ([], [])]],
+                             ids=["length-mismatch", "empty-sequence"])
+    def test_malformed_sequence_rejected(self, data):
+        model = CrfModel.build(["A", "B"], [["aapple"]])
+        with pytest.raises(ValidationError):
+            train(model, data, TrainConfig(epochs=1, seed=0))
+
+
+def _reference_logsumexp(a, axis=None):
+    m = np.max(a, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
+
+
+def reference_nll_and_gradient(model, texts, gold_labels):
+    """Dense per-sentence gradient: one F*L vector, filled position by position."""
+    fids = model.feature_ids(extract_features(texts))
+    emissions = model.emissions(fids)
+    transitions = model.transitions
+    y = model.label_ids(gold_labels)
+    n, L = emissions.shape
+    F = len(model.feature_index)
+    alpha = np.empty_like(emissions)
+    alpha[0] = emissions[0]
+    for i in range(1, n):
+        alpha[i] = _reference_logsumexp(alpha[i - 1][:, None] + transitions, axis=0) + emissions[i]
+    beta = np.zeros_like(emissions)
+    for i in range(n - 2, -1, -1):
+        beta[i] = _reference_logsumexp(transitions + (emissions[i + 1] + beta[i + 1])[None, :],
+                                       axis=1)
+    log_z = float(_reference_logsumexp(alpha[-1]))
+    unary = np.exp(alpha + beta - log_z)
+    gold = float(sum(emissions[i, yi] for i, yi in enumerate(y)))
+    gold += float(sum(transitions[a, b] for a, b in zip(y, y[1:])))
+    nll = log_z - gold + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
+    grad = model.l2 * model.weights
+    emission_grad = grad[:F * L].reshape(F, L)
+    for i, fid_list in enumerate(fids):
+        if fid_list:
+            row = unary[i].copy()
+            row[y[i]] -= 1.0
+            emission_grad[fid_list] += row
+    transition_grad = grad[F * L:].reshape(L, L)
+    for i in range(1, n):
+        transition_grad += np.exp(alpha[i - 1][:, None] + transitions
+                                  + (emissions[i] + beta[i])[None, :] - log_z)
+        transition_grad[y[i - 1], y[i]] -= 1.0
+    return nll, grad
+
+
+def reference_train(model, data, config):
+    """Per-sentence SGD on the dense gradient, in `train`'s shuffled order."""
+    rng = random.Random(config.seed)
+    order = list(range(len(data)))
+    step = 0
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            _, grad = reference_nll_and_gradient(model, *data[idx])
+            lr = config.learning_rate / (1.0 + config.decay * step)
+            model.weights -= lr * grad
+            step += 1
+
+
+def fixture_data():
+    dataset, _ = synth.generate(sizes={"CLA": 3, "EXP": 3, "O": 6, "PER": 4, "QUE": 3}, seed=11)
+    sentences = [s for doc in dataset.documents
+                 for s in split_sentences(doc, dataset.schema)]
+    return dataset.schema.labels, [(list(s.texts), list(s.token_labels)) for s in sentences]
+
+
+class TestMatchesDenseReference:
+    """Sparse training steps give bit-identical weights to the dense loop."""
+
+    def _assert_same_weights(self, labels, data, config, l2=0.0):
+        models = [CrfModel.build(labels, [t for t, _ in data], l2=l2) for _ in range(2)]
+        train(models[0], data, config)
+        reference_train(models[1], data, config)
+        assert np.array_equal(models[0].weights, models[1].weights)
+
+    def test_separable_data(self):
+        self._assert_same_weights(["A", "B"], separable_data(),
+                                  TrainConfig(epochs=3, learning_rate=0.5, decay=0.01, seed=0))
+
+    def test_fixture_with_repeated_tokens(self):
+        labels, data = fixture_data()
+        tokens = [token for texts, _ in data for token in texts]
+        assert len(set(tokens)) < len(tokens)
+        self._assert_same_weights(labels, data,
+                                  TrainConfig(epochs=2, learning_rate=0.5, decay=0.01, seed=7))
+
+    def test_with_l2(self):
+        labels, data = fixture_data()
+        self._assert_same_weights(labels, data[:20],
+                                  TrainConfig(epochs=1, learning_rate=0.5, seed=3), l2=0.1)
+
+    def test_gradient_with_l2_and_unseen_features(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            model, texts, labels = random_instance(rng, scale=0.5)
+            model.l2 = 0.1
+            texts = texts + ["unseen"]
+            gold = [labels[rng.randrange(len(labels))] for _ in texts]
+            nll, grad = nll_and_gradient(model, texts, gold)
+            expected_nll, expected_grad = reference_nll_and_gradient(model, texts, gold)
+            assert np.array_equal(grad, expected_grad)
+            assert nll == pytest.approx(expected_nll, rel=1e-12)
+
+
+@st.composite
+def mixed_length_datasets(draw):
+    vocabulary = ["80", "%", "IBS", "gut", "the", "Helped", "slept", "a", "B12"]
+    labels = [f"L{i}" for i in range(draw(st.integers(2, 4)))]
+    sequences = draw(st.lists(st.integers(1, 6), min_size=1, max_size=10))
+    data = [([draw(st.sampled_from(vocabulary)) for _ in range(n)],
+             [draw(st.sampled_from(labels)) for _ in range(n)]) for n in sequences]
+    # Building on a prefix leaves later sequences with features the model lacks.
+    seen = draw(st.integers(1, len(data)))
+    model = CrfModel.build(labels, [texts for texts, _ in data[:seen]],
+                           l2=draw(st.sampled_from([0.0, 0.1])))
+    weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    model.weights = weights_rng.normal(0.0, 1.0, size=model.weights.shape)
+    return model, data
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_length_datasets())
+def test_batched_dataset_nll_matches_per_sequence_sum(instance):
+    model, data = instance
+    expected = sum(log_partition(model, texts) - sequence_score(model, texts, labels)
+                   for texts, labels in data)
+    expected += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
+    assert dataset_nll(model, data) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestSerialization:
@@ -280,6 +423,15 @@ class TestSerialization:
         assert viterbi(loaded, texts) == viterbi(model, texts)
 
     def test_unknown_version_rejected(self):
-        from claimaug.errors import ValidationError
         with pytest.raises(ValidationError):
             CrfModel.from_dict({"format_version": 99})
+
+    @pytest.mark.parametrize("ids", [[0, 5], [1, 1]], ids=["out-of-range", "duplicate"])
+    def test_feature_ids_must_be_dense(self, ids):
+        model = CrfModel.build(["A", "B"], [["x"]])
+        data = model.to_dict()
+        names = list(data["feature_index"])[:2]
+        data["feature_index"] = dict(zip(names, ids))
+        data["weights"] = [0.0] * (2 * 2 + 2 * 2)
+        with pytest.raises(ValidationError):
+            CrfModel.from_dict(data)
