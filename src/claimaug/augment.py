@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from . import morph
-from .corpus import tokens_from_texts
 from .errors import (
     AugmentationError,
     AugmentationFailed,
@@ -40,7 +39,6 @@ class Method(Enum):
     VR_ANTONYM = "vr-antonym"
     ER = "er"
     LLM = "llm"
-    BAT = "bat"
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ def _rebuild(source: LabeledSentence, texts: Sequence[str],
     return LabeledSentence(
         doc_id=source.doc_id,
         sent_index=source.sent_index,
-        tokens=tokens_from_texts(texts),
-        token_labels=tuple(labels),
+        texts=texts,
+        token_labels=labels,
         sentence_label=source.sentence_label,
     )
 
@@ -116,7 +114,7 @@ def aeda(sentence: LabeledSentence, rng: random.Random, seed: int = 0) -> Augmen
     Inserted tokens carry the sentence label, so deleting the tokens at the
     recorded insertion positions restores the source exactly.
     """
-    n = len(sentence.tokens)
+    n = len(sentence.texts)
     k = rng.randint(1, max(1, n // 3))
     gaps = sorted(rng.sample(range(n + 1), k))
     marks = [rng.choice(PUNCTUATION_MARKS) for _ in gaps]
@@ -287,7 +285,7 @@ def entity_replace(sentence: LabeledSentence, annotator: EntityAnnotator,
     no alternative to the original surface form.
     """
     spans = annotator(sentence.texts)
-    _validate_spans(spans, len(sentence.tokens))
+    _validate_spans(spans, len(sentence.texts))
     for span in spans:
         if span.category not in dictionary.entries:
             raise ConfigurationError(f"entity dictionary has no category {span.category!r}")
@@ -391,18 +389,16 @@ def _make_operator(config: AugmentConfig, resources: Resources):
             raise ConfigurationError("entity replacement needs an entity dictionary")
         return lambda s, rng, seed, trial: entity_replace(
             s, resources.annotator, resources.entity_dictionary, rng, seed=seed)
-    if method is Method.LLM:
-        if resources.llm_client is None:
-            raise ConfigurationError("llm augmentation needs a client (or --offline mock)")
-        half = (config.n_samples + 1) // 2
+    # Method.LLM
+    if resources.llm_client is None:
+        raise ConfigurationError("llm augmentation needs a client (or --offline mock)")
+    half = (config.n_samples + 1) // 2
 
-        def run(s, rng, seed, trial):
-            variant = 1 if trial < half else 2
-            return _llm_sample(s, resources.llm_client, variant, resources.llm_retries, seed)
+    def run(s, rng, seed, trial):
+        variant = 1 if trial < half else 2
+        return _llm_sample(s, resources.llm_client, variant, resources.llm_retries, seed)
 
-        return run
-    raise ConfigurationError(
-        f"{method.value} is a training-time method, not a corpus-level augmenter")
+    return run
 
 
 _FAIL_REASON = {
@@ -455,14 +451,13 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
     trial = 0
     batch = max(1, workers) * 8
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    # The pool runs a batch ahead; the sequential path runs a trial only when
+    # its result is consumed, so no operator call (or paid LLM request) is wasted.
+    run_all = pool.map if pool is not None else map
     try:
         while successes < config.n_samples:
             trials = range(trial, trial + batch)
-            if pool is not None:
-                results = list(pool.map(run_trial, trials))
-            else:
-                results = [run_trial(t) for t in trials]
-            for t, result in zip(trials, results):
+            for t, result in zip(trials, run_all(run_trial, trials)):
                 if result is None:
                     reasons[_FAIL_REASON[config.method]] += 1
                 else:
@@ -479,28 +474,3 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
         if pool is not None:
             pool.shutdown()
     return produced
-
-
-def oversample(sentences: Sequence[LabeledSentence], target_class: str, n: int,
-               rng: random.Random) -> list[LabeledSentence]:
-    """Grow the target class to exactly n sentences by appending uniform duplicates."""
-    targets = [s for s in sentences if s.sentence_label == target_class]
-    if not targets:
-        raise ValidationError(f"no sentences with label {target_class!r}")
-    if n < len(targets):
-        raise ValidationError(f"target count {n} below current {len(targets)}; "
-                              "use undersample to shrink a class")
-    extras = [targets[rng.randrange(len(targets))] for _ in range(n - len(targets))]
-    return list(sentences) + extras
-
-
-def undersample(sentences: Sequence[LabeledSentence], majority_class: str, keep_n: int,
-                rng: random.Random) -> list[LabeledSentence]:
-    """Keep a uniform subset of keep_n sentences of the majority class, order preserved."""
-    indices = [i for i, s in enumerate(sentences) if s.sentence_label == majority_class]
-    if keep_n > len(indices):
-        raise ValidationError(f"cannot keep {keep_n} of {len(indices)} "
-                              f"{majority_class!r} sentences")
-    kept = set(rng.sample(indices, keep_n))
-    return [s for i, s in enumerate(sentences)
-            if s.sentence_label != majority_class or i in kept]

@@ -26,6 +26,7 @@ from .corpus import (
     Dataset,
     LabelSchema,
     dataset_stats,
+    format_schema_config,
     parse_schema_config,
     parse_token_label_file,
     serialize_token_label_file,
@@ -58,17 +59,20 @@ def _load_dataset(path: str, schema: LabelSchema) -> Dataset:
         return parse_token_label_file(f.read(), schema)
 
 
-def _split_all(dataset: Dataset) -> list[senttok.LabeledSentence]:
-    sentences = []
-    for doc in dataset.documents:
-        sentences.extend(senttok.split_sentences(doc, dataset.schema))
-    return sentences
+def _load_sentences(data_path: str,
+                    schema_path: str) -> tuple[LabelSchema, list[senttok.LabeledSentence]]:
+    """Parse a corpus and split it into sentences.
 
-
-def _schema_with_freq(dataset: Dataset) -> LabelSchema:
-    if dataset.schema.train_freq:
-        return dataset.schema
-    return dataset.schema.with_train_freq(dataset_stats(dataset).label_dist)
+    Majority-label ties are broken by training frequency, so a schema that
+    records none gets the corpus's own label counts first.
+    """
+    dataset = _load_dataset(data_path, _load_schema(schema_path))
+    schema = dataset.schema
+    if not schema.train_freq:
+        schema = schema.with_train_freq(dataset_stats(dataset).label_dist)
+    sentences = [sentence for doc in dataset.documents
+                 for sentence in senttok.split_sentences(doc, schema)]
+    return schema, sentences
 
 
 def cmd_stats(args) -> int:
@@ -91,15 +95,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = _load_dataset(args.data, _load_schema(args.schema))
-    schema = _schema_with_freq(dataset)
-    dataset = Dataset(schema=schema, documents=dataset.documents)
-    sentences = _split_all(dataset)
+    schema, sentences = _load_sentences(args.data, args.schema)
     stats = senttok.purity_stats(sentences)
     if args.out:
-        blocks = ["\n".join(f"{t.text}\t{l}" for t, l in zip(s.tokens, s.token_labels))
-                  for s in sentences]
-        atomic_write_text(args.out, "\n\n".join(blocks) + "\n" if blocks else "")
+        atomic_write_bytes(args.out, serialize_token_label_file(sentences))
     print(f"sentences: {stats.n_sentences}")
     print(f"uniform: {stats.n_uniform} ({100.0 * stats.uniform_fraction:.1f}%)")
     per_class = " ".join(f"{l}={stats.per_class.get(l, 0)}" for l in schema.labels)
@@ -108,9 +107,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_build_lexicons(args) -> int:
-    dataset = _load_dataset(args.data, _load_schema(args.schema))
-    sentences = _split_all(Dataset(schema=_schema_with_freq(dataset),
-                                   documents=dataset.documents))
+    _, sentences = _load_sentences(args.data, args.schema)
     lexicon = morph.load_default_verb_lexicon()
     pool = aug.build_verb_pool(sentences, lexicon)
     dictionary = aug.build_entity_dictionary(sentences)
@@ -144,16 +141,14 @@ def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
     return aug.EntityDictionary(entries={c: tuple(v) for c, v in entries.items()})
 
 
-def _make_resources(sentences, args) -> aug.Resources:
+def _make_resources(sentences, *, entities: str | None, offline: bool,
+                    llm_endpoint: str | None) -> aug.Resources:
     lexicon = morph.load_default_verb_lexicon()
-    if getattr(args, "entities", None):
-        dictionary = load_entity_dictionary_file(_read_text(args.entities))
+    if entities:
+        dictionary = load_entity_dictionary_file(_read_text(entities))
     else:
         dictionary = aug.build_entity_dictionary(sentences)
-    if getattr(args, "offline", False) or not getattr(args, "llm_endpoint", None):
-        client = EchoLlmClient()
-    else:
-        client = HttpLlmClient(args.llm_endpoint)
+    client = EchoLlmClient() if offline or not llm_endpoint else HttpLlmClient(llm_endpoint)
     return aug.Resources(
         verb_lexicon=lexicon,
         antonyms=morph.load_default_antonyms(),
@@ -165,29 +160,21 @@ def _make_resources(sentences, args) -> aug.Resources:
 
 def _write_augmented(samples: list[aug.AugmentedSample], out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    blocks = []
-    manifest = []
-    for sample in samples:
-        sentence = sample.sentence
-        blocks.append("\n".join(f"{t.text}\t{l}"
-                                for t, l in zip(sentence.tokens, sentence.token_labels)))
-        manifest.append(json.dumps({
-            "method": sample.method.value,
-            "doc_id": sample.source_id[0],
-            "sent_index": sample.source_id[1],
-            "seed": sample.seed,
-            "detail": sample.detail,
-        }, sort_keys=True))
-    atomic_write_text(os.path.join(out_dir, "augmented.tsv"),
-                      "\n\n".join(blocks) + "\n" if blocks else "")
+    manifest = [json.dumps({
+        "method": sample.method.value,
+        "doc_id": sample.source_id[0],
+        "sent_index": sample.source_id[1],
+        "seed": sample.seed,
+        "detail": sample.detail,
+    }, sort_keys=True) for sample in samples]
+    atomic_write_bytes(os.path.join(out_dir, "augmented.tsv"),
+                       serialize_token_label_file(s.sentence for s in samples))
     atomic_write_text(os.path.join(out_dir, "manifest.jsonl"),
                       "\n".join(manifest) + "\n" if manifest else "")
 
 
 def cmd_augment(args) -> int:
-    dataset = _load_dataset(args.data, _load_schema(args.schema))
-    sentences = _split_all(Dataset(schema=_schema_with_freq(dataset),
-                                   documents=dataset.documents))
+    _, sentences = _load_sentences(args.data, args.schema)
     config = aug.AugmentConfig(
         target_class=args.target_class,
         n_samples=args.n_samples,
@@ -195,7 +182,8 @@ def cmd_augment(args) -> int:
         method=aug.Method(args.method),
         master_seed=args.seed,
     )
-    resources = _make_resources(sentences, args)
+    resources = _make_resources(sentences, entities=args.entities, offline=args.offline,
+                                llm_endpoint=args.llm_endpoint)
     samples = aug.augment_minority(sentences, config, resources, workers=args.workers)
     _write_augmented(samples, args.out)
     print(f"method: {config.method.value}")
@@ -214,8 +202,7 @@ def cmd_make_fixture(args) -> int:
     dataset, bookkeeping = synth.generate(sizes=sizes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_bytes(os.path.join(args.out, "corpus.tsv"),
-                       serialize_token_label_file(dataset))
-    from .corpus import format_schema_config
+                       serialize_token_label_file(dataset.documents))
     atomic_write_text(os.path.join(args.out, "schema.cfg"),
                       format_schema_config(dataset.schema))
     atomic_write_text(os.path.join(args.out, "bookkeeping.json"),
@@ -276,25 +263,11 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
         schema.labels, train_config, adv, table=table)
 
 
-def cmd_train_crf(args) -> int:
+def cmd_train(args) -> int:
     config = _experiment_config(args.config)
-    dataset = _load_dataset(config["train"], _load_schema(config["schema"]))
-    schema = _schema_with_freq(dataset)
-    sentences = _split_all(Dataset(schema=schema, documents=dataset.documents))
-    model = _train_crf_model(sentences, schema, config)
-    out = config.get("model_out", "crf-model.json")
-    model.save(out)
-    print(f"model: {out}")
-    return 0
-
-
-def cmd_train_clf(args) -> int:
-    config = _experiment_config(args.config)
-    dataset = _load_dataset(config["train"], _load_schema(config["schema"]))
-    schema = _schema_with_freq(dataset)
-    sentences = _split_all(Dataset(schema=schema, documents=dataset.documents))
-    model = _train_clf_model(sentences, schema, config)
-    out = config.get("model_out", "clf-model.json")
+    schema, sentences = _load_sentences(config["train"], config["schema"])
+    model = args.trainer(sentences, schema, config)
+    out = config.get("model_out", args.model_out)
     model.save(out)
     print(f"model: {out}")
     return 0
@@ -332,14 +305,14 @@ def cmd_compare(args) -> int:
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:
     """Train the configured model on base + augmented sentences, score on dev."""
-    schema = _load_schema(config["schema"])
-    train_set = _load_dataset(config["train"], schema)
-    schema = _schema_with_freq(train_set)
-    train_set = Dataset(schema=schema, documents=train_set.documents)
-    train_sentences = _split_all(train_set)
+    schema, train_sentences = _load_sentences(config["train"], config["schema"])
 
     method = config.get("augment.method", "none")
     if method != "none":
+        methods = [m.value for m in aug.Method]
+        if method not in methods:
+            raise ConfigurationError(f"unknown augment.method {method!r} "
+                                     f"(use none, {', '.join(methods)})")
         augment_config = aug.AugmentConfig(
             target_class=config.get("augment.target_class", schema.categories[0]),
             n_samples=int(config.get("augment.n_samples", "100")),
@@ -347,13 +320,10 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
             method=aug.Method(method),
             master_seed=int(config["seed"]),
         )
-
-        class _ResourceArgs:
-            entities = config.get("entities")
-            offline = config.get("offline", "true").lower() != "false"
-            llm_endpoint = config.get("llm.endpoint")
-
-        resources = _make_resources(train_sentences, _ResourceArgs())
+        resources = _make_resources(
+            train_sentences, entities=config.get("entities"),
+            offline=config.get("offline", "true").lower() != "false",
+            llm_endpoint=config.get("llm.endpoint"))
         samples = aug.augment_minority(train_sentences, augment_config, resources,
                                        workers=workers)
         train_sentences = train_sentences + [s.sentence for s in samples]
@@ -422,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="augment the minority class")
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--method", required=True,
-                   choices=[m.value for m in aug.Method if m is not aug.Method.BAT])
+    p.add_argument("--method", required=True, choices=[m.value for m in aug.Method])
     p.add_argument("--target-class", required=True)
     p.add_argument("--n-samples", type=int, required=True)
     p.add_argument("--per-sentence", type=int, default=1)
@@ -438,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-crf", help="train the CRF sequence labeler")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train_crf)
+    p.set_defaults(fn=cmd_train, trainer=_train_crf_model, model_out="crf-model.json")
 
     p = sub.add_parser("train-clf", help="train the sentence classifier")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train_clf)
+    p.set_defaults(fn=cmd_train, trainer=_train_clf_model, model_out="clf-model.json")
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True)

@@ -3,8 +3,6 @@
 File formats:
   * token-label file: UTF-8, one `token<TAB>label` per line, blank line
     between documents (CoNLL style).
-  * span file: one `doc_id<TAB>token_start<TAB>token_end<TAB>category`
-    record per line; token indices, end exclusive.
   * schema config: `key = value` lines declaring `outside`, `categories`
     (comma separated) and optional `freq.<label>` token counts.
 """
@@ -14,35 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import ParseError, SchemaError, ValidationError
 from .util import parse_kv_config
-
-
-@dataclass(frozen=True)
-class Token:
-    text: str
-    char_start: int
-    char_end: int
-
-    def __post_init__(self):
-        if not self.text or any(c.isspace() for c in self.text):
-            raise ValidationError(f"token text must be non-empty without whitespace: {self.text!r}")
-        if not self.char_start < self.char_end:
-            raise ValidationError(
-                f"token offsets must satisfy start < end: [{self.char_start}, {self.char_end})"
-            )
-
-
-def tokens_from_texts(texts: Sequence[str]) -> tuple[Token, ...]:
-    """Build tokens with offsets synthesized by joining texts with single spaces."""
-    tokens = []
-    pos = 0
-    for text in texts:
-        tokens.append(Token(text, pos, pos + len(text)))
-        pos += len(text) + 1
-    return tuple(tokens)
 
 
 @dataclass(frozen=True)
@@ -99,36 +72,23 @@ class LabelSchema:
 
 @dataclass(frozen=True)
 class Document:
+    """One block of a token-label file: token strings and their labels."""
+
     id: str
-    text: str
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]
     token_labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "texts", tuple(self.texts))
         object.__setattr__(self, "token_labels", tuple(self.token_labels))
-        if len(self.tokens) != len(self.token_labels):
+        if len(self.texts) != len(self.token_labels):
             raise ValidationError(
-                f"document {self.id}: {len(self.tokens)} tokens vs {len(self.token_labels)} labels"
+                f"document {self.id}: {len(self.texts)} tokens vs {len(self.token_labels)} labels"
             )
 
     def validate_against(self, schema: LabelSchema) -> None:
         for label in self.token_labels:
             schema.check(label)
-
-
-@dataclass(frozen=True)
-class Span:
-    doc_id: str
-    token_start: int
-    token_end: int
-    category: str
-
-    def __post_init__(self):
-        if not self.token_start < self.token_end:
-            raise ValidationError(
-                f"span must satisfy start < end: [{self.token_start}, {self.token_end})"
-            )
 
 
 @dataclass(frozen=True)
@@ -184,9 +144,8 @@ def format_schema_config(schema: LabelSchema) -> str:
 def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     """Parse a token-label file into a Dataset, one Document per block.
 
-    Token offsets are synthesized by joining tokens with single spaces; span
-    arithmetic elsewhere is over token indices, so only the token sequence
-    matters.
+    Token text must be non-empty and free of whitespace. A corpus enters the
+    program here, so this is where the check lives, with the line number.
     """
     try:
         text = data.decode("utf-8")
@@ -198,11 +157,8 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     def flush():
         if not block:
             return
-        texts = [t for t, _ in block]
-        labels = tuple(l for _, l in block)
-        tokens = tokens_from_texts(texts)
-        documents.append(Document(id=f"d{len(documents)}", text=" ".join(texts),
-                                  tokens=tokens, token_labels=labels))
+        texts, labels = zip(*block)
+        documents.append(Document(id=f"d{len(documents)}", texts=texts, token_labels=labels))
         block.clear()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -222,75 +178,17 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     return Dataset(schema=schema, documents=tuple(documents))
 
 
-def serialize_token_label_file(dataset: Dataset) -> bytes:
-    blocks = []
-    for doc in dataset.documents:
-        blocks.append("\n".join(f"{tok.text}\t{label}"
-                                for tok, label in zip(doc.tokens, doc.token_labels)))
-    body = "\n\n".join(blocks)
+class TokenLabelBlock(Protocol):
+    texts: Sequence[str]
+    token_labels: Sequence[str]
+
+
+def serialize_token_label_file(blocks: Iterable[TokenLabelBlock]) -> bytes:
+    """Token-label file bytes, one block per document or sentence; inverse of the parser."""
+    body = "\n\n".join("\n".join(f"{text}\t{label}"
+                                  for text, label in zip(block.texts, block.token_labels))
+                        for block in blocks)
     return (body + "\n").encode("utf-8") if body else b""
-
-
-def parse_span_file(data: bytes, schema: LabelSchema) -> list[Span]:
-    spans = []
-    for lineno, raw in enumerate(data.decode("utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 4:
-            raise ParseError("expected 'doc_id<TAB>start<TAB>end<TAB>category'", line=lineno)
-        doc_id, start, end, category = fields
-        try:
-            span = Span(doc_id, int(start), int(end), category)
-        except ValueError:
-            raise ParseError(f"non-integer token index in {raw!r}", line=lineno)
-        if category not in schema.categories:
-            raise SchemaError(f"line {lineno}: unknown category {category!r}")
-        spans.append(span)
-    return spans
-
-
-def serialize_span_file(spans: Iterable[Span]) -> bytes:
-    lines = [f"{s.doc_id}\t{s.token_start}\t{s.token_end}\t{s.category}" for s in spans]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def spans_to_labels(n_tokens: int, spans: Sequence[Span], schema: LabelSchema) -> tuple[str, ...]:
-    """Project category spans onto per-token labels; uncovered tokens get the outside label."""
-    ordered = sorted(spans, key=lambda s: s.token_start)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.token_start < prev.token_end:
-            raise ValidationError(
-                f"overlapping spans: [{prev.token_start},{prev.token_end}) {prev.category} "
-                f"and [{cur.token_start},{cur.token_end}) {cur.category}"
-            )
-    labels = [schema.outside_label] * n_tokens
-    for span in ordered:
-        if span.token_end > n_tokens:
-            raise ValidationError(f"span [{span.token_start},{span.token_end}) exceeds {n_tokens} tokens")
-        if span.category not in schema.categories:
-            raise SchemaError(f"unknown category {span.category!r}")
-        for i in range(span.token_start, span.token_end):
-            labels[i] = span.category
-    return tuple(labels)
-
-
-def labels_to_spans(token_labels: Sequence[str], schema: LabelSchema,
-                    doc_id: str = "") -> list[Span]:
-    """Inverse of spans_to_labels: maximal runs of one non-outside label become spans."""
-    spans = []
-    start = None
-    current = None
-    for i, label in enumerate(token_labels):
-        schema.check(label)
-        if label != current:
-            if current is not None and current != schema.outside_label:
-                spans.append(Span(doc_id, start, i, current))
-            current = label
-            start = i
-    if current is not None and current != schema.outside_label:
-        spans.append(Span(doc_id, start, len(token_labels), current))
-    return spans
 
 
 def dataset_stats(dataset: Dataset) -> CorpusStats:
@@ -302,10 +200,9 @@ def dataset_stats(dataset: Dataset) -> CorpusStats:
     dist = Counter({label: 0 for label in dataset.schema.labels})
     max_length = 0
     for doc in dataset.documents:
-        max_length = max(max_length, len(doc.tokens))
-        for tok, label in zip(doc.tokens, doc.token_labels):
-            words.add(tok.text)
-            dist[label] += 1
+        max_length = max(max_length, len(doc.texts))
+        words.update(doc.texts)
+        dist.update(doc.token_labels)
     return CorpusStats(
         n_texts=len(dataset.documents),
         n_unique_words=len(words),

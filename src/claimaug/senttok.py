@@ -8,12 +8,13 @@ abbreviation list ships with the package (one entry per line, case-sensitive).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .corpus import Document, LabelSchema, Token
+from .corpus import Document, LabelSchema
 from .errors import ValidationError
 
 _TERMINALS = ".!?"
@@ -25,19 +26,15 @@ class LabeledSentence:
 
     doc_id: str
     sent_index: int
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]
     token_labels: tuple[str, ...]
     sentence_label: str
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        object.__setattr__(self, "texts", tuple(self.texts))
         object.__setattr__(self, "token_labels", tuple(self.token_labels))
-        if len(self.tokens) != len(self.token_labels) or not self.tokens:
+        if len(self.texts) != len(self.token_labels) or not self.texts:
             raise ValidationError("sentence needs equally many tokens and labels, at least one")
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,11 @@ class PurityStats:
         return self.n_uniform / self.n_sentences if self.n_sentences else 0.0
 
 
-def load_abbreviations(text: str) -> frozenset[str]:
-    return frozenset(line.strip() for line in text.splitlines() if line.strip())
-
-
+@functools.cache
 def default_abbreviations() -> frozenset[str]:
+    """The bundled abbreviation list, read from the package once per process."""
     text = resources.files("claimaug").joinpath("data/abbreviations.txt").read_text("utf-8")
-    return load_abbreviations(text)
+    return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
 def _is_boundary(texts: Sequence[str], i: int, abbreviations: frozenset[str]) -> bool:
@@ -75,28 +70,25 @@ def _is_boundary(texts: Sequence[str], i: int, abbreviations: frozenset[str]) ->
     return prev_stem not in abbreviations
 
 
-def split_sentences(document: Document, schema: LabelSchema,
-                    abbreviations: frozenset[str] | None = None) -> list[LabeledSentence]:
+def split_sentences(document: Document, schema: LabelSchema) -> list[LabeledSentence]:
     """Split a document into sentences; tokens are conserved exactly.
 
     Every token lands in exactly one sentence, in the original order, so the
     concatenation of the returned sentences equals the document.
     """
-    if not document.tokens:
+    texts = document.texts
+    if not texts:
         raise ValidationError(f"document {document.id} has no tokens")
-    if abbreviations is None:
-        abbreviations = default_abbreviations()
-    texts = [t.text for t in document.tokens]
+    abbreviations = default_abbreviations()
     sentences = []
     start = 0
     for i in range(len(texts)):
         if _is_boundary(texts, i, abbreviations) or i == len(texts) - 1:
-            tokens = document.tokens[start:i + 1]
             labels = document.token_labels[start:i + 1]
             sentences.append(LabeledSentence(
                 doc_id=document.id,
                 sent_index=len(sentences),
-                tokens=tokens,
+                texts=texts[start:i + 1],
                 token_labels=labels,
                 sentence_label=majority_label(labels, schema),
             ))

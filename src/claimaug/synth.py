@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import morph
-from .corpus import Dataset, Document, LabelSchema, tokens_from_texts
+from .corpus import Dataset, Document, LabelSchema
 
 SCHEMA = LabelSchema(outside_label="O", categories=("CLA", "EXP", "PER", "QUE"))
 
@@ -159,9 +159,8 @@ def generate(sizes: dict[str, int] | None = None, seed: int = 0,
         max_length = max(max_length, len(texts))
         documents.append(Document(
             id=f"syn{len(documents)}",
-            text=" ".join(texts),
-            tokens=tokens_from_texts(texts),
-            token_labels=tuple(labels),
+            texts=texts,
+            token_labels=labels,
         ))
 
     dataset = Dataset(schema=SCHEMA.with_train_freq(label_dist), documents=tuple(documents))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from claimaug import morph
-from claimaug.corpus import LabelSchema, tokens_from_texts
+from claimaug.corpus import LabelSchema
 from claimaug.senttok import LabeledSentence
 
 
@@ -96,6 +96,6 @@ def make_sentence(rng: random.Random, lexicon: morph.VerbLexicon, label: str = "
         labels[-1] = "O"
     return LabeledSentence(
         doc_id=doc_id, sent_index=sent_index,
-        tokens=tokens_from_texts(texts), token_labels=tuple(labels),
+        texts=tuple(texts), token_labels=tuple(labels),
         sentence_label=label,
     )

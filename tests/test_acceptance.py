@@ -110,9 +110,7 @@ DETACHED = ("80", "%", "of", "people", "diagnosed", "with", "IBS", "have", "Sibo
 
 
 def golden_sentence(texts):
-    from claimaug.corpus import tokens_from_texts
-    return senttok.LabeledSentence(doc_id="g", sent_index=0,
-                                   tokens=tokens_from_texts(list(texts)),
+    return senttok.LabeledSentence(doc_id="g", sent_index=0, texts=texts,
                                    token_labels=("CLA",) * len(texts),
                                    sentence_label="CLA")
 
@@ -178,7 +176,7 @@ def test_c4_operator_invariants():
             again = aeda(src, random.Random(i), seed=i)
             assert _sample_key(sample) == _sample_key(again)
             assert sample.sentence.sentence_label == src.sentence_label
-            texts = [t.text for t in sample.sentence.tokens]
+            texts = list(sample.sentence.texts)
             for position in sorted(sample.detail["insert_positions"], reverse=True):
                 del texts[position]
             assert tuple(texts) == src.texts
@@ -200,7 +198,7 @@ def test_c4_operator_invariants():
                                  random.Random(attempts), seed=attempts)
             assert _sample_key(sample) == _sample_key(again)
             assert sample.sentence.sentence_label == src.sentence_label
-            replaced = sample.sentence.tokens[sample.detail["replaced_index"]].text
+            replaced = sample.sentence.texts[sample.detail["replaced_index"]]
             detected = morph.detect_verb(replaced, lexicon)
             assert detected is not None
             assert detected[1].value == sample.detail["tense"]
@@ -220,7 +218,7 @@ def test_c4_operator_invariants():
             assert sample.sentence.sentence_label == src.sentence_label
             assert sample.detail["replacement_base"] \
                 in antonyms.get(sample.detail["original_base"])
-            replaced = sample.sentence.tokens[sample.detail["replaced_index"]].text
+            replaced = sample.sentence.texts[sample.detail["replaced_index"]]
             assert morph.detect_verb(replaced, lexicon)[1].value == sample.detail["tense"]
             produced += 1
 
@@ -264,7 +262,7 @@ def _pipeline_f1(train_sentences, dev_pairs, schema, seed):
         gold.extend(doc.token_labels)
         for sentence in sentences:
             pred.extend(senttok.project_labels(model.predict(list(sentence.texts)),
-                                               len(sentence.tokens)))
+                                               len(sentence.texts)))
     return score(gold, pred, schema).per_class["CLA"].f1
 
 

@@ -16,8 +16,6 @@ from claimaug.augment import (
     default_entity_annotator,
     entity_replace,
     llm_contradict,
-    oversample,
-    undersample,
     verb_replace,
 )
 from claimaug.errors import (
@@ -31,10 +29,8 @@ from conftest import make_sentence
 
 
 def sentence_from(texts, label="CLA", doc_id="doc", sent_index=0):
-    from claimaug.corpus import tokens_from_texts
     from claimaug.senttok import LabeledSentence
-    return LabeledSentence(doc_id=doc_id, sent_index=sent_index,
-                           tokens=tokens_from_texts(texts),
+    return LabeledSentence(doc_id=doc_id, sent_index=sent_index, texts=texts,
                            token_labels=(label,) * len(texts), sentence_label=label)
 
 
@@ -44,7 +40,7 @@ class TestAeda:
         for seed in range(50):
             src = make_sentence(rng, lexicon)
             sample = aeda(src, random.Random(seed), seed=seed)
-            texts = list(t.text for t in sample.sentence.tokens)
+            texts = list(sample.sentence.texts)
             for position in sorted(sample.detail["insert_positions"], reverse=True):
                 del texts[position]
             assert tuple(texts) == src.texts
@@ -52,7 +48,7 @@ class TestAeda:
     def test_single_token_gets_one_insertion(self):
         src = sentence_from(["word"])
         sample = aeda(src, random.Random(1))
-        assert len(sample.sentence.tokens) == 2
+        assert len(sample.sentence.texts) == 2
         assert len(sample.detail["insert_positions"]) == 1
 
     def test_insertion_count_bounds(self):
@@ -86,7 +82,7 @@ class TestVerbReplace:
         src = sentence_from(["They", "walked", "home", "."])
         pool = ["cause", "treat", "go", "have"]
         sample = verb_replace(src, lexicon, pool, Method.VR_RANDOM, random.Random(1))
-        new_token = sample.sentence.tokens[sample.detail["replaced_index"]].text
+        new_token = sample.sentence.texts[sample.detail["replaced_index"]]
         assert morph.detect_verb(new_token, lexicon)[1] is morph.Tense.PAST
 
     def test_antonym_mode_uses_antonym_list(self, lexicon, antonyms):
@@ -105,7 +101,7 @@ class TestVerbReplace:
         src = sentence_from(["Walked", "home", "."])
         sample = verb_replace(src, lexicon, ["cause", "treat"],
                               Method.VR_RANDOM, random.Random(2))
-        replacement = sample.sentence.tokens[sample.detail["replaced_index"]].text
+        replacement = sample.sentence.texts[sample.detail["replaced_index"]]
         assert replacement[0].isupper()
 
     def test_labels_unchanged(self, lexicon):
@@ -188,8 +184,7 @@ class TestEntityReplace:
                                 random.Random(0))
         assert sample.detail["category"] == "PERCENT"
         assert sample.detail["replacement"] == ["100", "percent"]
-        texts = [t.text for t in sample.sentence.tokens]
-        assert texts == ["about", "100", "percent", "sure"]
+        assert sample.sentence.texts == ("about", "100", "percent", "sure")
         assert set(sample.sentence.token_labels) == {"EXP"}
 
     def test_overlapping_annotator_rejected(self):
@@ -295,13 +290,6 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
 
-    def test_bat_rejected_at_corpus_level(self, lexicon, antonyms):
-        sentences = fleet(3, lexicon)
-        config = AugmentConfig(target_class="CLA", n_samples=1,
-                               method=Method.BAT, master_seed=1)
-        with pytest.raises(ConfigurationError):
-            augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
-
     def test_deterministic_same_seed(self, lexicon, antonyms):
         sentences = fleet(30, lexicon, with_entity=True)
         resources = self.resources(lexicon, antonyms, sentences)
@@ -337,32 +325,13 @@ class TestScheduler:
         variants = [s.detail["prompt_variant"] for s in samples]
         assert variants == [1] * 5 + [2] * 5
 
+    def test_sequential_llm_calls_client_once_per_sample(self, lexicon):
+        # With one worker no trial runs ahead of need: a request is a paid call.
+        sentences = fleet(10, lexicon)
+        client = MockLlmClient(reply="Nope.")
+        config = AugmentConfig(target_class="CLA", n_samples=1,
+                               method=Method.LLM, master_seed=3)
+        samples = augment_minority(sentences, config, Resources(llm_client=client), workers=1)
+        assert len(samples) == 1
+        assert len(client.prompts) == 1
 
-class TestResampling:
-    def test_oversample_doubles(self, lexicon):
-        sentences = fleet(6, lexicon, label="CLA") + fleet(4, lexicon, label="O", seed=1)
-        grown = oversample(sentences, "CLA", 12, random.Random(0))
-        assert sum(1 for s in grown if s.sentence_label == "CLA") == 12
-        assert grown[:10] == sentences
-
-    def test_oversample_below_current_rejected(self, lexicon):
-        sentences = fleet(6, lexicon, label="CLA")
-        with pytest.raises(ValidationError):
-            oversample(sentences, "CLA", 3, random.Random(0))
-
-    def test_undersample_keeps_exact_subset(self, lexicon):
-        sentences = fleet(20, lexicon, label="O") + fleet(3, lexicon, label="CLA", seed=1)
-        kept = undersample(sentences, "O", 5, random.Random(0))
-        assert sum(1 for s in kept if s.sentence_label == "O") == 5
-        assert sum(1 for s in kept if s.sentence_label == "CLA") == 3
-
-    def test_undersample_too_many_rejected(self, lexicon):
-        sentences = fleet(4, lexicon, label="O")
-        with pytest.raises(ValidationError):
-            undersample(sentences, "O", 5, random.Random(0))
-
-    def test_seeded_determinism(self, lexicon):
-        sentences = fleet(10, lexicon, label="O")
-        a = undersample(sentences, "O", 4, random.Random(7))
-        b = undersample(sentences, "O", 4, random.Random(7))
-        assert a == b

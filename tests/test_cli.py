@@ -63,6 +63,22 @@ class TestMakeFixtureAndStats:
         assert "sentences: 232" in out
         assert "per_class:" in out
 
+    def test_split_out_holds_every_sentence_and_token(self, fixture_dir, tmp_path, capsys):
+        from claimaug.corpus import parse_schema_config, parse_token_label_file
+        out = tmp_path / "split.tsv"
+        data = os.path.join(fixture_dir, "corpus.tsv")
+        code, stdout, _ = run(capsys, "split", "--data", data,
+                              "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                              "--out", str(out))
+        assert code == 0
+        schema = parse_schema_config(open(os.path.join(fixture_dir, "schema.cfg")).read())
+        with open(data, "rb") as f:
+            corpus = parse_token_label_file(f.read(), schema)
+        sentences = parse_token_label_file(out.read_bytes(), schema)
+        assert f"sentences: {len(sentences.documents)}\n" in stdout
+        assert [t for d in sentences.documents for t in d.texts] \
+            == [t for d in corpus.documents for t in d.texts]
+
     def test_build_lexicons(self, fixture_dir, tmp_path, capsys):
         out_dir = str(tmp_path / "lex")
         code, out, _ = run(capsys, "build-lexicons",
@@ -131,6 +147,28 @@ class TestAugmentCommand:
                            "--seed", "1", "--out", str(tmp_path / "out"), "--offline")
         assert code == 3
         assert "no_entity_or_candidate" in err
+
+    def test_method_choices_are_the_five_operators(self, fixture_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.augment(capsys, fixture_dir, str(tmp_path / "bat"), method="bat")
+        assert exc.value.code == 2
+        assert "{aeda,vr-random,vr-antonym,er,llm}" in capsys.readouterr().err
+
+    def test_entities_file_is_used(self, fixture_dir, tmp_path, capsys):
+        entities = tmp_path / "entities.tsv"
+        entities.write_text("CARDINAL\t12345\nCARDINAL\t67890\nPERCENT\t99 %\n"
+                            "PERCENT\t1 %\nPROPER\tZyx\nPROPER\tQwv\n", encoding="utf-8")
+        out = str(tmp_path / "er")
+        code, _, _ = run(capsys, "augment",
+                         "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                         "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                         "--method", "er", "--target-class", "CLA", "--n-samples", "5",
+                         "--seed", "1", "--out", out, "--entities", str(entities))
+        assert code == 0
+        with open(os.path.join(out, "manifest.jsonl"), encoding="utf-8") as f:
+            replacements = [json.loads(line)["detail"]["replacement"] for line in f]
+        assert len(replacements) == 5
+        assert all(" ".join(r) in entities.read_text() for r in replacements)
 
     def test_llm_offline_runs(self, fixture_dir, tmp_path, capsys):
         out = str(tmp_path / "llm")
@@ -258,6 +296,22 @@ class TestExperiments:
         assert model_out.exists()
         assert "epoch 0" in out
 
+    @pytest.mark.parametrize("command,default_out", [("train-crf", "crf-model.json"),
+                                                     ("train-clf", "clf-model.json")])
+    def test_train_default_model_out(self, tmp_path, fixture_dir, capsys, monkeypatch,
+                                     command, default_out):
+        config = tmp_path / "train.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "epochs = 1",
+        ]) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, command, "--config", str(config))
+        assert code == 0
+        assert f"model: {default_out}" in out
+        assert (tmp_path / default_out).exists()
+
     def test_pretrained_embeddings_config(self, tmp_path, fixture_dir, capsys):
         vocab = set()
         with open(os.path.join(fixture_dir, "corpus.tsv"), encoding="utf-8") as f:
@@ -295,6 +349,26 @@ class TestExperiments:
         code, _, _ = run(capsys, "run-experiment", "--config", str(config))
         assert code == 0
         assert (tmp_path / "out-adv" / "report.json").exists()
+
+    @pytest.mark.parametrize("method", ["bogus", "bat"])
+    def test_unknown_augment_method_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                            method):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", method)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert f"unknown augment.method {method!r}" in err
+        assert "aeda, vr-random, vr-antonym, er, llm" in err
+
+    def test_entities_config_key(self, tmp_path, fixture_dir, dev_dir, capsys):
+        lexicons = str(tmp_path / "lex")
+        run(capsys, "build-lexicons", "--data", os.path.join(fixture_dir, "corpus.tsv"),
+            "--schema", os.path.join(fixture_dir, "schema.cfg"), "--out", lexicons)
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "er")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"entities = {os.path.join(lexicons, 'entities.tsv')}\n")
+        code, _, _ = run(capsys, "run-experiment", "--config", config)
+        assert code == 0
+        assert (tmp_path / "out-textclf-er" / "report.json").exists()
 
     def test_missing_seed_rejected(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = tmp_path / "noseed.cfg"

@@ -1,48 +1,22 @@
-import itertools
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from claimaug.corpus import (
     Dataset,
     Document,
     LabelSchema,
-    Span,
-    Token,
     dataset_stats,
     format_schema_config,
-    labels_to_spans,
     parse_schema_config,
-    parse_span_file,
     parse_token_label_file,
-    serialize_span_file,
     serialize_token_label_file,
-    spans_to_labels,
-    tokens_from_texts,
 )
 from claimaug.errors import ParseError, SchemaError, ValidationError
 
 
 def make_doc(texts, labels, doc_id="d0"):
-    return Document(id=doc_id, text=" ".join(texts),
-                    tokens=tokens_from_texts(texts), token_labels=tuple(labels))
-
-
-class TestToken:
-    def test_rejects_empty_and_whitespace(self):
-        with pytest.raises(ValidationError):
-            Token("", 0, 1)
-        with pytest.raises(ValidationError):
-            Token("a b", 0, 3)
-
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(ValidationError):
-            Token("a", 3, 3)
-
-    def test_synthesized_offsets_match_joined_text(self):
-        texts = ["I", "ran", "."]
-        joined = " ".join(texts)
-        for tok in tokens_from_texts(texts):
-            assert joined[tok.char_start:tok.char_end] == tok.text
+    return Document(id=doc_id, texts=texts, token_labels=labels)
 
 
 class TestSchema:
@@ -78,17 +52,28 @@ class TestTokenLabelFile:
         data = b"I\tO\nran\tO\n.\tO\n\nIt\tCLA\nhelped\tCLA\n"
         dataset = parse_token_label_file(data, schema)
         assert len(dataset.documents) == 2
-        assert [len(d.tokens) for d in dataset.documents] == [3, 2]
+        assert [d.texts for d in dataset.documents] == [("I", "ran", "."), ("It", "helped")]
         assert dataset.documents[1].token_labels == ("CLA", "CLA")
 
     def test_empty_file(self, schema):
         dataset = parse_token_label_file(b"", schema)
         assert dataset.documents == ()
+        assert serialize_token_label_file(dataset.documents) == b""
 
     def test_wrong_column_count_reports_line(self, schema):
         data = b"I\tO\nhave\tCLA\textra\n"
         with pytest.raises(ParseError) as exc:
             parse_token_label_file(data, schema)
+        assert exc.value.line == 2
+
+    def test_empty_token_reports_line(self, schema):
+        with pytest.raises(ParseError) as exc:
+            parse_token_label_file(b"I\tO\n\n\tO\n", schema)
+        assert exc.value.line == 3
+
+    def test_token_with_space_reports_line(self, schema):
+        with pytest.raises(ParseError) as exc:
+            parse_token_label_file(b"I\tO\nran away\tO\n", schema)
         assert exc.value.line == 2
 
     def test_unknown_label(self, schema):
@@ -98,57 +83,33 @@ class TestTokenLabelFile:
     def test_round_trip_bytes(self, schema):
         data = b"I\tO\nran\tO\n\nIt\tCLA\n"
         dataset = parse_token_label_file(data, schema)
-        assert serialize_token_label_file(dataset) == data
+        assert serialize_token_label_file(dataset.documents) == data
+
+    def test_serializes_sentences_too(self, schema):
+        from claimaug.senttok import split_sentences
+        dataset = parse_token_label_file(b"I\tO\nran\tO\n.\tO\nIt\tCLA\n", schema)
+        sentences = split_sentences(dataset.documents[0], schema)
+        assert serialize_token_label_file(sentences) == b"I\tO\nran\tO\n.\tO\n\nIt\tCLA\n"
 
     def test_double_blank_lines_tolerated(self, schema):
         dataset = parse_token_label_file(b"a\tO\n\n\n\nb\tO\n", schema)
         assert len(dataset.documents) == 2
 
 
-class TestSpanFile:
-    def test_round_trip(self, schema):
-        data = b"d0\t1\t3\tCLA\nd1\t0\t2\tQUE\n"
-        spans = parse_span_file(data, schema)
-        assert spans == [Span("d0", 1, 3, "CLA"), Span("d1", 0, 2, "QUE")]
-        assert serialize_span_file(spans) == data
-
-    def test_bad_category(self, schema):
-        with pytest.raises(SchemaError):
-            parse_span_file(b"d0\t0\t1\tO\n", schema)
-
-    def test_bad_index(self, schema):
-        with pytest.raises(ParseError):
-            parse_span_file(b"d0\tx\t1\tCLA\n", schema)
+TOKENS = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                 min_size=1, max_size=6)
+BLOCKS = st.lists(st.lists(st.tuples(TOKENS, st.sampled_from(("O", "CLA", "QUE"))),
+                           min_size=1, max_size=8), max_size=5)
 
 
-class TestSpansLabels:
-    def test_basic_projection(self, schema):
-        labels = spans_to_labels(5, [Span("d0", 1, 3, "CLA")], schema)
-        assert labels == ("O", "CLA", "CLA", "O", "O")
-
-    def test_no_spans_all_outside(self, schema):
-        assert spans_to_labels(3, [], schema) == ("O", "O", "O")
-
-    def test_overlap_reports_pair(self, schema):
-        spans = [Span("d0", 0, 2, "CLA"), Span("d0", 1, 3, "QUE")]
-        with pytest.raises(ValidationError) as exc:
-            spans_to_labels(4, spans, schema)
-        assert "[0,2)" in str(exc.value) and "[1,3)" in str(exc.value)
-
-    def test_adjacent_labels_become_two_spans(self, schema):
-        spans = labels_to_spans(["CLA", "QUE"], schema, doc_id="d0")
-        assert spans == [Span("d0", 0, 1, "CLA"), Span("d0", 1, 2, "QUE")]
-
-    def test_all_outside_empty(self, schema):
-        assert labels_to_spans(["O", "O"], schema) == []
-
-    def test_round_trip_enumeration(self, schema):
-        # Exhaustive over all label strings of length <= 4 with 3 labels.
-        alphabet = ("O", "CLA", "QUE")
-        for length in range(1, 5):
-            for labels in itertools.product(alphabet, repeat=length):
-                spans = labels_to_spans(labels, schema)
-                assert spans_to_labels(length, spans, schema) == labels
+@given(BLOCKS)
+def test_serialize_then_parse_round_trips(blocks):
+    schema = LabelSchema(outside_label="O", categories=("CLA", "QUE"))
+    documents = [Document(id=f"d{i}", texts=[t for t, _ in block],
+                          token_labels=[l for _, l in block])
+                 for i, block in enumerate(blocks)]
+    parsed = parse_token_label_file(serialize_token_label_file(documents), schema)
+    assert parsed.documents == tuple(documents)
 
 
 class TestDatasetStats:
@@ -169,12 +130,17 @@ class TestDatasetStats:
 
     def test_empty_document_changes_only_n_texts(self, schema):
         base = (make_doc(["a", "b"], ["CLA", "O"]),)
-        with_empty = base + (Document(id="d9", text="", tokens=(), token_labels=()),)
+        with_empty = base + (Document(id="d9", texts=(), token_labels=()),)
         s1 = dataset_stats(Dataset(schema=schema, documents=base))
         s2 = dataset_stats(Dataset(schema=schema, documents=with_empty))
         assert s2.n_texts == s1.n_texts + 1
         assert (s2.n_unique_words, s2.max_length, s2.label_dist) == \
             (s1.n_unique_words, s1.max_length, s1.label_dist)
+
+    def test_document_fields_become_tuples(self):
+        doc = make_doc(["a", "b"], ["CLA", "O"])
+        assert doc.texts == ("a", "b") and doc.token_labels == ("CLA", "O")
+        hash(doc)
 
     def test_mismatched_labels_rejected(self, schema):
         with pytest.raises(ValidationError):

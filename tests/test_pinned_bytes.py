@@ -1,0 +1,115 @@
+"""Byte pins: SHA-256 of CLI outputs on a tiny fixture, fixed across refactors.
+
+Unlike the rerun checks elsewhere, which compare two runs of the same code,
+these digests were recorded once and must not move unless a change means to
+alter the output bytes. When one does, say why in CHANGES.md and re-record
+the digests with `PYTHONPATH=src python tests/test_pinned_bytes.py`.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from claimaug.cli import main
+
+METHODS = ("aeda", "vr-random", "vr-antonym", "er", "llm")
+SIZES = "CLA=12,EXP=30,O=120,PER=40,QUE=30"
+
+PINNED = {
+    "make-fixture/corpus.tsv":
+        "e40e5ebbe8e8889ce288d0fa5fbb2b5f1d234a667b01096d9c2cfb31f9229082",
+    "make-fixture/schema.cfg":
+        "db7475831d521eb71dc92c6312b33012fdf3e6495e5a8b75c9e9a27cf5585a35",
+    "make-fixture/bookkeeping.json":
+        "8378c3dacfc3799e4a4155477e05f77d27607cc3f151c7627cb256deb6f75138",
+    "split":
+        "e0ec9542ed11f87970abd3f808e866858cbcf8c6e7e613599ae5af74d642ce23",
+    "augment/aeda/augmented.tsv":
+        "785c1a172dbbf61249686ccba6571860725896f65acc42697808c9fb07cfb820",
+    "augment/aeda/manifest.jsonl":
+        "e0b2842dde2d775b8ff0468230d36f841468c6f7262d56a7cb0a60fea09629eb",
+    "augment/vr-random/augmented.tsv":
+        "28537bd7d15a36c12233bbd18c22c1feac9ff3e66738f0bf3e4434eeacd88c2d",
+    "augment/vr-random/manifest.jsonl":
+        "abf9515ab804e89d3d50b5fd3dd0509f6ce67fc7950f907fa5be9c68e315d54e",
+    "augment/vr-antonym/augmented.tsv":
+        "8a7e4c5d5cc6dc1b0efcc758e8f079ea561f249e4a65cbe94733a7fe001ddf5b",
+    "augment/vr-antonym/manifest.jsonl":
+        "a42b8975c98cb8b6715c8f572a3b8e3ecfc6660b4ce0fed2acd06a2582349c29",
+    "augment/er/augmented.tsv":
+        "027a8a8c92fe7317af4ad6c01b9841c8f683bc3abd80401640839c7a982cd3b5",
+    "augment/er/manifest.jsonl":
+        "a2366a17d80c1d005655b211a7b7e0a59025acc34f1d979b71c7a62eca3fabf0",
+    "augment/llm/augmented.tsv":
+        "7d6b7c639cb04d9b9d226710a234df153ab06f439a3d12e04d74cddb8f459c29",
+    "augment/llm/manifest.jsonl":
+        "be9ce95af8db19220f3f371fad8c1f5ff66d441319d58f2d26f5ef48830c56d9",
+    "run-experiment/crf/report.json":
+        "6f6246f7969a4b7e80871d493326fcb7f4d73648aaf273fc0803d647d2a5b6ac",
+    "run-experiment/textclf/report.json":
+        "a45eb3d1cefacbc6e1cc1fb35e95b0a609a8a385f5d09872b5cb1480f13ed88f",
+}
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _run(*argv: str) -> None:
+    assert main(list(argv)) == 0, argv
+
+
+def produce_digests(work: str) -> dict[str, str]:
+    """Run every pinned command under `work`; returns output name -> digest."""
+    digests = {}
+    fixture, dev = os.path.join(work, "fx"), os.path.join(work, "dev")
+    _run("make-fixture", "--seed", "5", "--out", fixture, "--sizes", SIZES)
+    _run("make-fixture", "--seed", "6", "--out", dev, "--sizes", SIZES)
+    for name in ("corpus.tsv", "schema.cfg", "bookkeeping.json"):
+        digests[f"make-fixture/{name}"] = _sha256(os.path.join(fixture, name))
+    data, schema = os.path.join(fixture, "corpus.tsv"), os.path.join(fixture, "schema.cfg")
+
+    split_out = os.path.join(work, "split.tsv")
+    _run("split", "--data", data, "--schema", schema, "--out", split_out)
+    digests["split"] = _sha256(split_out)
+
+    for method in METHODS:
+        out = os.path.join(work, f"aug-{method}")
+        _run("augment", "--data", data, "--schema", schema, "--method", method,
+             "--target-class", "CLA", "--n-samples", "10", "--per-sentence", "2",
+             "--seed", "7", "--out", out, "--offline")
+        for name in ("augmented.tsv", "manifest.jsonl"):
+            digests[f"augment/{method}/{name}"] = _sha256(os.path.join(out, name))
+
+    for model in ("crf", "textclf"):
+        config = os.path.join(work, f"{model}.cfg")
+        outdir = os.path.join(work, f"exp-{model}")
+        with open(config, "w", encoding="utf-8") as f:
+            f.write("\n".join([
+                f"train = {data}", f"dev = {os.path.join(dev, 'corpus.tsv')}",
+                f"schema = {schema}", f"model = {model}", "seed = 7",
+                "epochs = 2", "learning_rate = 0.3",
+                "augment.method = vr-random", "augment.target_class = CLA",
+                "augment.n_samples = 10", f"outdir = {outdir}",
+            ]) + "\n")
+        _run("run-experiment", "--config", config)
+        digests[f"run-experiment/{model}/report.json"] = _sha256(
+            os.path.join(outdir, "report.json"))
+    return digests
+
+
+def test_outputs_match_pinned_digests(tmp_path, capsys):
+    digests = produce_digests(str(tmp_path))
+    capsys.readouterr()
+    assert digests == PINNED
+
+
+if __name__ == "__main__":
+    # Print the digests of the current code in the layout of PINNED.
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        recorded = produce_digests(work)
+    for key, value in recorded.items():
+        print(f'    "{key}":\n        "{value}",')

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from claimaug.corpus import Document, tokens_from_texts
+from claimaug.corpus import Document
 from claimaug.errors import ValidationError
 from claimaug.senttok import (
     LabeledSentence,
@@ -16,13 +16,12 @@ from claimaug.senttok import (
 
 def make_doc(texts, labels=None, doc_id="d0"):
     labels = labels if labels is not None else ["O"] * len(texts)
-    return Document(id=doc_id, text=" ".join(texts),
-                    tokens=tokens_from_texts(texts), token_labels=tuple(labels))
+    return Document(id=doc_id, texts=texts, token_labels=labels)
 
 
 def make_sent(labels, schema):
     texts = [f"t{i}" for i in range(len(labels))]
-    return LabeledSentence(doc_id="d0", sent_index=0, tokens=tokens_from_texts(texts),
+    return LabeledSentence(doc_id="d0", sent_index=0, texts=texts,
                            token_labels=tuple(labels),
                            sentence_label=majority_label(labels, schema))
 
@@ -31,7 +30,7 @@ class TestSplit:
     def test_two_terminal_periods(self, schema):
         doc = make_doc(["I", "ran", ".", "It", "helped", "."])
         sentences = split_sentences(doc, schema)
-        assert [len(s.tokens) for s in sentences] == [3, 3]
+        assert [len(s.texts) for s in sentences] == [3, 3]
         assert [s.sent_index for s in sentences] == [0, 1]
 
     def test_abbreviation_suppresses_boundary(self, schema):
@@ -45,16 +44,16 @@ class TestSplit:
 
     def test_attached_terminal_punctuation(self, schema):
         doc = make_doc(["It", "helped.", "Really", "helped."])
-        assert [len(s.tokens) for s in split_sentences(doc, schema)] == [2, 2]
+        assert [len(s.texts) for s in split_sentences(doc, schema)] == [2, 2]
 
     def test_no_terminal_punctuation_single_sentence(self, schema):
         doc = make_doc(["no", "punctuation", "here"])
         sentences = split_sentences(doc, schema)
         assert len(sentences) == 1
-        assert sentences[0].tokens == doc.tokens
+        assert sentences[0].texts == doc.texts
 
     def test_empty_document_rejected(self, schema):
-        doc = Document(id="d0", text="", tokens=(), token_labels=())
+        doc = Document(id="d0", texts=(), token_labels=())
         with pytest.raises(ValidationError):
             split_sentences(doc, schema)
 
@@ -66,14 +65,32 @@ class TestSplit:
             texts = [rng.choice(vocabulary) for _ in range(rng.randint(1, 40))]
             doc = make_doc(texts)
             sentences = split_sentences(doc, schema)
-            rejoined = [t for s in sentences for t in s.tokens]
-            assert tuple(rejoined) == doc.tokens
+            rejoined = [t for s in sentences for t in s.texts]
+            assert tuple(rejoined) == doc.texts
+
+    def test_abbreviation_list_read_once(self, schema):
+        default_abbreviations.cache_clear()
+        for i in range(3):
+            split_sentences(make_doc(["Dr", ".", "Smith", "agreed", "."], doc_id=f"d{i}"), schema)
+        assert default_abbreviations.cache_info().misses == 1
 
     def test_deterministic(self, schema):
         doc = make_doc(["One", ".", "Two", "."])
         first = split_sentences(doc, schema)
         second = split_sentences(doc, schema)
-        assert [s.tokens for s in first] == [s.tokens for s in second]
+        assert [s.texts for s in first] == [s.texts for s in second]
+
+
+class TestLabeledSentence:
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError):
+            LabeledSentence(doc_id="d0", sent_index=0, texts=(), token_labels=(),
+                            sentence_label="O")
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            LabeledSentence(doc_id="d0", sent_index=0, texts=("a", "b"),
+                            token_labels=("O",), sentence_label="O")
 
 
 class TestMajority:
