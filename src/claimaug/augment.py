@@ -339,22 +339,9 @@ def llm_contradict(sentence_text: str, client: LlmClient, prompt_variant: int,
     return reply
 
 
-@dataclass
-class Resources:
-    """Everything the scheduler may need to run any operator."""
-
-    verb_lexicon: morph.VerbLexicon | None = None
-    antonyms: morph.AntonymLexicon | None = None
-    verb_pool: Sequence[str] = ()
-    entity_dictionary: EntityDictionary | None = None
-    annotator: EntityAnnotator = default_entity_annotator
-    llm_client: LlmClient | None = None
-    llm_retries: int = 3
-
-
 def _llm_sample(sentence: LabeledSentence, client: LlmClient, variant: int,
-                retries: int, seed: int) -> AugmentedSample:
-    reply = llm_contradict(" ".join(sentence.texts), client, variant, retries=retries)
+                seed: int) -> AugmentedSample:
+    reply = llm_contradict(" ".join(sentence.texts), client, variant)
     texts = reply.split()
     labels = [sentence.sentence_label] * len(texts)
     return AugmentedSample(
@@ -366,37 +353,37 @@ def _llm_sample(sentence: LabeledSentence, client: LlmClient, variant: int,
     )
 
 
-def _make_operator(config: AugmentConfig, resources: Resources):
-    """Bind an operator to its resources; returns fn(sentence, rng, seed, trial) -> sample."""
+def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
+                   entities: EntityDictionary | None, llm_client: LlmClient | None):
+    """Bind the chosen operator to its inputs, building only those.
+
+    Returns fn(sentence, rng, seed, trial) -> sample or None.
+    """
     method = config.method
     if method is Method.AEDA:
         return lambda s, rng, seed, trial: aeda(s, rng, seed=seed)
     if method in (Method.VR_RANDOM, Method.VR_ANTONYM):
-        if resources.verb_lexicon is None:
-            raise ConfigurationError("verb replacement needs a verb lexicon")
+        lexicon = morph.load_default_verb_lexicon()
         if method is Method.VR_RANDOM:
-            source = list(resources.verb_pool)
+            source = build_verb_pool(sentences, lexicon)
             if not source:
                 raise ConfigurationError("vr-random needs a non-empty verb pool")
         else:
-            source = resources.antonyms
-            if source is None:
-                raise ConfigurationError("vr-antonym needs an antonym lexicon")
+            source = morph.load_default_antonyms()
         return lambda s, rng, seed, trial: verb_replace(
-            s, resources.verb_lexicon, source, method, rng, seed=seed)
+            s, lexicon, source, method, rng, seed=seed)
     if method is Method.ER:
-        if resources.entity_dictionary is None:
-            raise ConfigurationError("entity replacement needs an entity dictionary")
+        dictionary = entities if entities is not None else build_entity_dictionary(sentences)
         return lambda s, rng, seed, trial: entity_replace(
-            s, resources.annotator, resources.entity_dictionary, rng, seed=seed)
+            s, default_entity_annotator, dictionary, rng, seed=seed)
     # Method.LLM
-    if resources.llm_client is None:
+    if llm_client is None:
         raise ConfigurationError("llm augmentation needs a client (or --offline mock)")
     half = (config.n_samples + 1) // 2
 
     def run(s, rng, seed, trial):
         variant = 1 if trial < half else 2
-        return _llm_sample(s, resources.llm_client, variant, resources.llm_retries, seed)
+        return _llm_sample(s, llm_client, variant, seed)
 
     return run
 
@@ -410,23 +397,30 @@ _FAIL_REASON = {
 }
 
 
-def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig,
-                     resources: Resources, workers: int = 1) -> list[AugmentedSample]:
+def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig, *,
+                     entities: EntityDictionary | None = None,
+                     llm_client: LlmClient | None = None,
+                     workers: int = 1) -> list[AugmentedSample]:
     """Produce `n_samples * per_sentence` augmentations of the target class.
 
     Source sentences are taken in seeded-shuffle order without replacement,
     cycling with replacement once exhausted. A source whose operator yields
-    nothing is skipped and the next one is tried; the outcome of every trial
-    is a pure function of (master seed, source, cycle), so the result is
-    byte-identical for any worker count.
+    nothing is skipped and the next one is tried; once `n_available`
+    trials in a row yield nothing, AugmentationError is raised with the
+    reason histogram. The outcome of every trial is a pure function of
+    (master seed, source, cycle), and each batch runs no more trials than
+    are still needed, so the result and the operator calls made are the
+    same for any worker count.
     """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     targets = [s for s in sentences if s.sentence_label == config.target_class]
     if not targets:
         raise ConfigurationError(f"no sentences with label {config.target_class!r}")
     order = list(targets)
     random.Random(derive_seed(config.master_seed, "source-order", config.target_class)
                   ).shuffle(order)
-    operator = _make_operator(config, resources)
+    operator = _make_operator(sentences, config, entities, llm_client)
     n_available = len(order)
 
     def run_trial(trial: int) -> list[AugmentedSample] | None:
@@ -445,32 +439,30 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
             samples.append(sample)
         return samples
 
-    produced: list[AugmentedSample] = []
-    reasons: Counter[str] = Counter()
-    successes = 0
-    trial = 0
-    batch = max(1, workers) * 8
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    # The pool runs a batch ahead; the sequential path runs a trial only when
-    # its result is consumed, so no operator call (or paid LLM request) is wasted.
-    run_all = pool.map if pool is not None else map
-    try:
+    def run_batches(run_all) -> list[AugmentedSample]:
+        produced: list[AugmentedSample] = []
+        reasons: Counter[str] = Counter()
+        successes = failed_in_a_row = trial = 0
         while successes < config.n_samples:
-            trials = range(trial, trial + batch)
-            for t, result in zip(trials, run_all(run_trial, trials)):
+            # A batch ends no later than the trial that meets the request or
+            # hits the bound, so it runs no trial the sequential order would not.
+            size = min(8 * workers, config.n_samples - successes, n_available - failed_in_a_row)
+            for result in run_all(run_trial, range(trial, trial + size)):
                 if result is None:
                     reasons[_FAIL_REASON[config.method]] += 1
+                    failed_in_a_row += 1
                 else:
                     produced.extend(result)
                     successes += 1
-                    if successes == config.n_samples:
-                        break
-                if t + 1 >= n_available and successes == 0:
-                    raise AugmentationError(
-                        f"no {config.method.value} augmentation possible for any "
-                        f"{config.target_class!r} sentence", reasons)
-            trial += batch
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return produced
+                    failed_in_a_row = 0
+            if failed_in_a_row == n_available:
+                raise AugmentationError(
+                    f"no {config.method.value} augmentation in {n_available} trials "
+                    f"in a row over the {config.target_class!r} sentences", reasons)
+            trial += size
+        return produced
+
+    if workers == 1:
+        return run_batches(map)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return run_batches(pool.map)

@@ -141,21 +141,12 @@ def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
     return aug.EntityDictionary(entries={c: tuple(v) for c, v in entries.items()})
 
 
-def _make_resources(sentences, *, entities: str | None, offline: bool,
-                    llm_endpoint: str | None) -> aug.Resources:
-    lexicon = morph.load_default_verb_lexicon()
-    if entities:
-        dictionary = load_entity_dictionary_file(_read_text(entities))
-    else:
-        dictionary = aug.build_entity_dictionary(sentences)
+def _augment(sentences, config: aug.AugmentConfig, *, entities: str | None, offline: bool,
+             llm_endpoint: str | None, workers: int) -> list[aug.AugmentedSample]:
+    dictionary = load_entity_dictionary_file(_read_text(entities)) if entities else None
     client = EchoLlmClient() if offline or not llm_endpoint else HttpLlmClient(llm_endpoint)
-    return aug.Resources(
-        verb_lexicon=lexicon,
-        antonyms=morph.load_default_antonyms(),
-        verb_pool=aug.build_verb_pool(sentences, lexicon),
-        entity_dictionary=dictionary,
-        llm_client=client,
-    )
+    return aug.augment_minority(sentences, config, entities=dictionary, llm_client=client,
+                                workers=workers)
 
 
 def _write_augmented(samples: list[aug.AugmentedSample], out_dir: str) -> None:
@@ -182,9 +173,8 @@ def cmd_augment(args) -> int:
         method=aug.Method(args.method),
         master_seed=args.seed,
     )
-    resources = _make_resources(sentences, entities=args.entities, offline=args.offline,
-                                llm_endpoint=args.llm_endpoint)
-    samples = aug.augment_minority(sentences, config, resources, workers=args.workers)
+    samples = _augment(sentences, config, entities=args.entities, offline=args.offline,
+                       llm_endpoint=args.llm_endpoint, workers=args.workers)
     _write_augmented(samples, args.out)
     print(f"method: {config.method.value}")
     print(f"requested: {config.n_samples * config.per_sentence}")
@@ -320,12 +310,10 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
             method=aug.Method(method),
             master_seed=int(config["seed"]),
         )
-        resources = _make_resources(
-            train_sentences, entities=config.get("entities"),
+        samples = _augment(
+            train_sentences, augment_config, entities=config.get("entities"),
             offline=config.get("offline", "true").lower() != "false",
-            llm_endpoint=config.get("llm.endpoint"))
-        samples = aug.augment_minority(train_sentences, augment_config, resources,
-                                       workers=workers)
+            llm_endpoint=config.get("llm.endpoint"), workers=workers)
         train_sentences = train_sentences + [s.sentence for s in samples]
 
     model_kind = config.get("model", "textclf")
@@ -366,6 +354,16 @@ def cmd_run_experiment(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="claimaug",
                                      description="Text augmentation and labeling bench")
@@ -398,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-sentence", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--entities", help="entity dictionary file (default: harvest)")
     p.add_argument("--offline", action="store_true",
                    help="use the deterministic offline LLM client")
@@ -436,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-experiment", help="train, evaluate, and report")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count, default=1)
     p.set_defaults(fn=cmd_run_experiment)
 
     return parser

@@ -89,18 +89,6 @@ class CrfModel:
         L = self.n_labels
         return self.weights[len(self.feature_index) * L:].reshape(L, L)
 
-    def feature_ids(self, feats_per_pos: list[list[str]]) -> list[list[int]]:
-        index = self.feature_index
-        return [[index[f] for f in feats if f in index] for feats in feats_per_pos]
-
-    def emissions(self, fids_per_pos: list[list[int]]) -> np.ndarray:
-        emission_block = self.emission_weights
-        out = np.zeros((len(fids_per_pos), self.n_labels))
-        for i, fids in enumerate(fids_per_pos):
-            if fids:
-                out[i] = emission_block[fids].sum(axis=0)
-        return out
-
     def label_ids(self, labels: Sequence[str]) -> list[int]:
         table = {label: i for i, label in enumerate(self.labels)}
         try:
@@ -162,10 +150,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
 
 
-def _prepare(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
-    return model.emissions(model.feature_ids(extract_features(texts)))
-
-
 def _forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     """Forward log scores for emissions [..., n, L]: one sentence or a batch of equal length."""
     alpha = np.empty_like(emissions)
@@ -205,18 +189,23 @@ class _Compiled:
     label_ids: list[np.ndarray]
 
 
+def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
+    """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one."""
+    index = model.feature_index
+    return np.array([[index.get(f, -1) for f in feats] for feats in extract_features(texts)],
+                    dtype=np.int32)
+
+
 def _compile(model: CrfModel,
              data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
     """Map each (texts, labels) pair to feature-id and label-id arrays, once."""
-    index = model.feature_index
     feature_ids, label_ids = [], []
     for k, (texts, labels) in enumerate(data):
         if len(texts) != len(labels):
             raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
         if not texts:
             raise ValidationError(f"sequence {k} is empty")
-        feature_ids.append(np.array([[index.get(f, -1) for f in feats]
-                                     for feats in extract_features(texts)], dtype=np.int32))
+        feature_ids.append(_feature_ids(model, texts))
         label_ids.append(np.array(model.label_ids(labels), dtype=np.intp))
     return _Compiled(feature_ids, label_ids)
 
@@ -230,7 +219,7 @@ def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
     """log Z by the forward recursion, stable in log space."""
-    emissions = _prepare(model, texts)
+    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
     alpha = _forward(emissions, model.transitions)
     return float(_logsumexp(alpha[-1]))
 
@@ -243,7 +232,7 @@ def sequence_score(model: CrfModel, texts: Sequence[str], labels: Sequence[str])
 
 def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     """Per-position label marginals; each row sums to 1."""
-    emissions = _prepare(model, texts)
+    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
     transitions = model.transitions
     alpha = _forward(emissions, transitions)
     beta = _backward(emissions, transitions)
@@ -312,7 +301,7 @@ def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
     """Highest-scoring label sequence; ties resolve to the earlier label index."""
     if not texts:
         return []
-    emissions = _prepare(model, texts)
+    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
     transitions = model.transitions
     n, L = emissions.shape
     delta = emissions[0]

@@ -17,11 +17,9 @@ from claimaug.augment import (
     AugmentConfig,
     EntityDictionary,
     Method,
-    Resources,
     aeda,
     augment_minority,
     build_entity_dictionary,
-    build_verb_pool,
     default_entity_annotator,
     entity_replace,
     llm_contradict,
@@ -269,8 +267,6 @@ def _pipeline_f1(train_sentences, dev_pairs, schema, seed):
 def test_c5_augmentation_lifts_minority_f1():
     with criterion(5, "400 verb-replacement augmentations lift minority F1 by >= 5 points"):
         started = time.perf_counter()
-        lexicon = morph.load_default_verb_lexicon()
-        antonyms = morph.load_default_antonyms()
         deltas = []
         for seed in range(1, 6):
             train, _ = synth.generate(seed=1000 + seed)
@@ -281,13 +277,9 @@ def test_c5_augmentation_lifts_minority_f1():
             dev_pairs = [(d, split_sentences(d, schema)) for d in dev.documents]
 
             baseline = _pipeline_f1(train_sentences, dev_pairs, schema, seed)
-            resources = Resources(
-                verb_lexicon=lexicon, antonyms=antonyms,
-                verb_pool=build_verb_pool(train_sentences, lexicon),
-                entity_dictionary=build_entity_dictionary(train_sentences))
             config = AugmentConfig(target_class="CLA", n_samples=400,
                                    method=Method.VR_RANDOM, master_seed=seed)
-            samples = augment_minority(train_sentences, config, resources)
+            samples = augment_minority(train_sentences, config)
             assert len(samples) == 400
             boosted = _pipeline_f1(train_sentences + [s.sentence for s in samples],
                                    dev_pairs, schema, seed)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimaug import morph
 from claimaug.augment import (
@@ -8,11 +10,8 @@ from claimaug.augment import (
     EntityDictionary,
     EntitySpan,
     Method,
-    Resources,
     aeda,
     augment_minority,
-    build_entity_dictionary,
-    build_verb_pool,
     default_entity_annotator,
     entity_replace,
     llm_contradict,
@@ -234,104 +233,148 @@ def fleet(n, lexicon, label="CLA", with_entity=False, seed=0):
 
 
 class TestScheduler:
-    def resources(self, lexicon, antonyms, sentences):
-        return Resources(
-            verb_lexicon=lexicon,
-            antonyms=antonyms,
-            verb_pool=build_verb_pool(sentences, lexicon),
-            entity_dictionary=build_entity_dictionary(sentences),
-            llm_client=MockLlmClient(reply="Not so."),
-        )
-
-    def test_400_of_401_sources_distinct(self, lexicon, antonyms):
+    def test_400_of_401_sources_distinct(self, lexicon):
         sentences = fleet(401, lexicon)
         config = AugmentConfig(target_class="CLA", n_samples=400,
                                method=Method.AEDA, master_seed=9)
-        samples = augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
+        samples = augment_minority(sentences, config)
         assert len(samples) == 400
         assert len(set(s.source_id for s in samples)) == 400
 
-    def test_100_samples(self, lexicon, antonyms):
+    def test_100_samples(self, lexicon):
         sentences = fleet(401, lexicon)
         config = AugmentConfig(target_class="CLA", n_samples=100,
                                method=Method.AEDA, master_seed=9)
-        samples = augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
+        samples = augment_minority(sentences, config)
         assert len(samples) == 100
 
-    def test_per_sentence_four_yields_1600(self, lexicon, antonyms):
+    def test_per_sentence_four_yields_1600(self, lexicon):
         sentences = fleet(401, lexicon)
         config = AugmentConfig(target_class="CLA", n_samples=400, per_sentence=4,
                                method=Method.AEDA, master_seed=9)
-        samples = augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
+        samples = augment_minority(sentences, config)
         assert len(samples) == 1600
 
-    def test_cycles_with_replacement_when_short(self, lexicon, antonyms):
+    def test_cycles_with_replacement_when_short(self, lexicon):
         sentences = fleet(5, lexicon)
         config = AugmentConfig(target_class="CLA", n_samples=12,
                                method=Method.AEDA, master_seed=4)
-        samples = augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
+        samples = augment_minority(sentences, config)
         assert len(samples) == 12
         assert len(set((s.source_id, s.seed) for s in samples)) == 12
 
-    def test_zero_producible_raises_with_histogram(self, lexicon, antonyms):
+    def test_zero_producible_raises_with_histogram(self):
         sentences = [sentence_from(["plain", "words", "only"], doc_id=f"d{i}")
                      for i in range(4)]
-        resources = self.resources(lexicon, antonyms, sentences)
         config = AugmentConfig(target_class="CLA", n_samples=3,
                                method=Method.ER, master_seed=1)
         with pytest.raises(AugmentationError) as exc:
-            augment_minority(sentences, config, resources)
+            augment_minority(sentences, config)
         assert exc.value.reasons.get("no_entity_or_candidate", 0) > 0
 
-    def test_missing_target_class(self, lexicon, antonyms):
+    def test_missing_target_class(self, lexicon):
         sentences = fleet(3, lexicon, label="EXP")
         config = AugmentConfig(target_class="CLA", n_samples=1,
                                method=Method.AEDA, master_seed=1)
         with pytest.raises(ConfigurationError):
-            augment_minority(sentences, config, self.resources(lexicon, antonyms, sentences))
+            augment_minority(sentences, config)
 
-    def test_deterministic_same_seed(self, lexicon, antonyms):
+    def test_deterministic_same_seed(self, lexicon):
         sentences = fleet(30, lexicon, with_entity=True)
-        resources = self.resources(lexicon, antonyms, sentences)
+        client = MockLlmClient(reply="Not so.")
         for method in (Method.AEDA, Method.VR_RANDOM, Method.VR_ANTONYM,
                        Method.ER, Method.LLM):
             config = AugmentConfig(target_class="CLA", n_samples=10,
                                    method=method, master_seed=11)
-            first = augment_minority(sentences, config, resources)
-            second = augment_minority(sentences, config, resources)
+            first = augment_minority(sentences, config, llm_client=client)
+            second = augment_minority(sentences, config, llm_client=client)
             assert [(s.source_id, s.seed, s.sentence.texts, s.sentence.token_labels)
                     for s in first] \
                 == [(s.source_id, s.seed, s.sentence.texts, s.sentence.token_labels)
                     for s in second], method
 
-    def test_workers_do_not_change_output(self, lexicon, antonyms):
+    def test_workers_do_not_change_output(self, lexicon):
         sentences = fleet(50, lexicon, with_entity=True)
-        resources = self.resources(lexicon, antonyms, sentences)
         config = AugmentConfig(target_class="CLA", n_samples=30,
                                method=Method.VR_RANDOM, master_seed=2)
-        serial = augment_minority(sentences, config, resources, workers=1)
-        threaded = augment_minority(sentences, config, resources, workers=4)
+        serial = augment_minority(sentences, config, workers=1)
+        threaded = augment_minority(sentences, config, workers=4)
         assert [(s.source_id, s.seed, s.sentence.texts) for s in serial] \
             == [(s.source_id, s.seed, s.sentence.texts) for s in threaded]
 
-    def test_llm_prompt_variants_split_halves(self, lexicon, antonyms):
+    def test_llm_prompt_variants_split_halves(self, lexicon):
         sentences = fleet(10, lexicon)
         client = MockLlmClient(reply="Nope.")
-        resources = Resources(verb_lexicon=lexicon, antonyms=antonyms,
-                              llm_client=client)
         config = AugmentConfig(target_class="CLA", n_samples=10,
                                method=Method.LLM, master_seed=3)
-        samples = augment_minority(sentences, config, resources)
+        samples = augment_minority(sentences, config, llm_client=client)
         variants = [s.detail["prompt_variant"] for s in samples]
         assert variants == [1] * 5 + [2] * 5
 
-    def test_sequential_llm_calls_client_once_per_sample(self, lexicon):
-        # With one worker no trial runs ahead of need: a request is a paid call.
+    @pytest.mark.parametrize("n_samples", [1, 10])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_sequential_llm_calls_client_once_per_sample(self, lexicon, workers, n_samples):
+        # No trial runs ahead of need, whatever the worker count: a request is a paid call.
         sentences = fleet(10, lexicon)
         client = MockLlmClient(reply="Nope.")
-        config = AugmentConfig(target_class="CLA", n_samples=1,
+        config = AugmentConfig(target_class="CLA", n_samples=n_samples,
                                method=Method.LLM, master_seed=3)
-        samples = augment_minority(sentences, config, Resources(llm_client=client), workers=1)
-        assert len(samples) == 1
-        assert len(client.prompts) == 1
+        samples = augment_minority(sentences, config, llm_client=client, workers=workers)
+        assert len(samples) == n_samples
+        assert len(client.prompts) == n_samples
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_gives_up_after_a_full_round_of_failures(self, lexicon, workers):
+        # One success, then only empty completions: the loop must stop on its own
+        # after one failed trial per source sentence, long before the client's cap.
+        class CappedClient(MockLlmClient):
+            def complete(self, prompt):
+                if len(self.prompts) >= 1000:
+                    raise RuntimeError("scheduler kept calling after 1000 requests")
+                return super().complete(prompt)
+
+        sentences = fleet(10, lexicon)
+        client = CappedClient(replies=["Not so."])
+        config = AugmentConfig(target_class="CLA", n_samples=2,
+                               method=Method.LLM, master_seed=3)
+        with pytest.raises(AugmentationError) as exc:
+            augment_minority(sentences, config, llm_client=client, workers=workers)
+        assert exc.value.reasons == {"empty_completion": 10}
+        assert len(client.prompts) == 11
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_samples=st.integers(1, 12),
+           failing=st.sets(st.integers(0, 5)),
+           workers=st.sampled_from([2, 3, 4]))
+    def test_workers_make_the_sequential_calls(self, lexicon, n_samples, failing, workers):
+        # The sources whose index is in `failing` always get an empty completion.
+        sentences = fleet(6, lexicon)
+        failing_texts = {" ".join(sentences[i].texts) for i in failing}
+
+        class ScriptedClient:
+            def __init__(self):
+                self.prompts = []
+
+            def complete(self, prompt):
+                self.prompts.append(prompt)
+                return "" if prompt.split('"')[1] in failing_texts else "Not so."
+
+        def outcome(workers):
+            client = ScriptedClient()
+            config = AugmentConfig(target_class="CLA", n_samples=n_samples,
+                                   method=Method.LLM, master_seed=5)
+            try:
+                result = [s.source_id for s in augment_minority(
+                    sentences, config, llm_client=client, workers=workers)]
+            except AugmentationError as exc:
+                result = exc.reasons
+            return result, sorted(client.prompts)
+
+        assert outcome(workers) == outcome(1)
+
+    def test_workers_below_one_rejected(self, lexicon):
+        config = AugmentConfig(target_class="CLA", n_samples=1,
+                               method=Method.AEDA, master_seed=1)
+        with pytest.raises(ConfigurationError):
+            augment_minority(fleet(3, lexicon), config, workers=0)
 

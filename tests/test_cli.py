@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from claimaug import augment as aug
+from claimaug import morph
 from claimaug.cli import main
 
 
@@ -175,6 +177,49 @@ class TestAugmentCommand:
         code, stdout, _ = self.augment(capsys, fixture_dir, out, method="llm", n="6")
         assert code == 0
         assert "produced: 6" in stdout
+
+    @pytest.mark.parametrize("method, needs", [
+        ("aeda", set()),
+        ("vr-random", {"lexicon", "verb_pool"}),
+        ("vr-antonym", {"lexicon", "antonyms"}),
+        ("er", {"entity_dict"}),
+        ("llm", set()),
+    ])
+    def test_builds_only_the_operators_inputs(self, fixture_dir, tmp_path, capsys,
+                                              monkeypatch, method, needs):
+        builders = {"lexicon": (morph, "load_default_verb_lexicon"),
+                    "antonyms": (morph, "load_default_antonyms"),
+                    "verb_pool": (aug, "build_verb_pool"),
+                    "entity_dict": (aug, "build_entity_dictionary")}
+        called = set()
+
+        def guarded(name, fn):
+            def wrapper(*args, **kwargs):
+                called.add(name)
+                if name not in needs:
+                    raise AssertionError(f"{method} built {name}")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, (module, attr) in builders.items():
+            monkeypatch.setattr(module, attr, guarded(name, getattr(module, attr)))
+        code, _, _ = self.augment(capsys, fixture_dir, str(tmp_path / method),
+                                  method=method, n="3")
+        assert code == 0
+        assert called == needs
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, fixture_dir, dev_dir, tmp_path, capsys,
+                                      workers):
+        with pytest.raises(SystemExit) as exc:
+            self.augment(capsys, fixture_dir, str(tmp_path / "w"), workers=workers)
+        assert exc.value.code == 2
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "aeda")
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "run-experiment", "--config", config, "--workers", workers)
+        assert exc.value.code == 2
+        assert not (tmp_path / "w").exists()
 
 
 class TestEvalAndCompare:

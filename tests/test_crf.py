@@ -24,9 +24,24 @@ from claimaug.errors import TrainingDiverged, ValidationError
 from claimaug.senttok import split_sentences
 
 
+def present_feature_ids(model, texts):
+    """Per position, the ids of the feature strings the model knows, in feature order."""
+    index = model.feature_index
+    return [[index[f] for f in feats if f in index] for feats in extract_features(texts)]
+
+
+def reference_emissions(model, fids):
+    """[n, L] emission scores: each position sums its feature rows in the given order."""
+    out = np.zeros((len(fids), model.n_labels))
+    for i, rows in enumerate(fids):
+        if rows:
+            out[i] = model.emission_weights[rows].sum(axis=0)
+    return out
+
+
 def all_sequence_scores(model, texts):
     """Brute-force score of every label sequence, in lexicographic order."""
-    emissions = model.emissions(model.feature_ids(extract_features(texts)))
+    emissions = reference_emissions(model, present_feature_ids(model, texts))
     transitions = model.transitions
     n, L = emissions.shape
     seqs = np.array(list(itertools.product(range(L), repeat=n)), dtype=np.intp)
@@ -138,7 +153,7 @@ class TestGradient:
         model = CrfModel.build(labels, [texts])
         _, grad = nll_and_gradient(model, texts, ["A", "B"])
         L = len(labels)
-        fids = model.feature_ids(extract_features(texts))
+        fids = present_feature_ids(model, texts)
         emission_grad = grad[:len(model.feature_index) * L].reshape(-1, L)
         first_only = set(fids[0]) - set(fids[1])
         assert first_only
@@ -154,7 +169,7 @@ class TestGradient:
         # flags; transition/emission coordinates not touched by the example
         # must come out as exactly l2 * w.
         _, grad = nll_and_gradient(model, ["x"], ["A"])
-        fids = set(model.feature_ids(extract_features(["x"]))[0])
+        fids = set(present_feature_ids(model, ["x"])[0])
         L = 2
         for fid in range(len(model.feature_index)):
             if fid not in fids:
@@ -292,8 +307,8 @@ def _reference_logsumexp(a, axis=None):
 
 def reference_nll_and_gradient(model, texts, gold_labels):
     """Dense per-sentence gradient: one F*L vector, filled position by position."""
-    fids = model.feature_ids(extract_features(texts))
-    emissions = model.emissions(fids)
+    fids = present_feature_ids(model, texts)
+    emissions = reference_emissions(model, fids)
     transitions = model.transitions
     y = model.label_ids(gold_labels)
     n, L = emissions.shape
