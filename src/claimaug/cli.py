@@ -217,15 +217,25 @@ def _experiment_config(path: str) -> dict[str, str]:
     return config
 
 
+def _number(config: dict[str, str], key: str, kind: type, default: str | None = None):
+    """`kind(config[key])`, or of `default` when the key is unset and a default is given."""
+    text = config[key] if default is None else config.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {noun}, got {text!r}") from None
+
+
 def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
     data = [(list(s.texts), list(s.token_labels)) for s in sentences]
     model = crf_mod.CrfModel.build(schema.labels, [texts for texts, _ in data],
-                                   l2=float(config.get("l2", "0.0")))
+                                   l2=_number(config, "l2", float, "0.0"))
     train_config = crf_mod.TrainConfig(
-        epochs=int(config.get("epochs", "5")),
-        learning_rate=float(config.get("learning_rate", "0.1")),
-        decay=float(config.get("decay", "0.01")),
-        seed=int(config["seed"]),
+        epochs=_number(config, "epochs", int, "5"),
+        learning_rate=_number(config, "learning_rate", float, "0.1"),
+        decay=_number(config, "decay", float, "0.01"),
+        seed=_number(config, "seed", int),
     )
     history = crf_mod.train(model, data, train_config)
     for epoch, nll in enumerate(history):
@@ -235,14 +245,14 @@ def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
 
 def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
     adv = textclf.AdvConfig(
-        epsilon=float(config.get("epsilon", "0.0")),
-        adv_weight=float(config.get("adv_weight", "0.0")),
+        epsilon=_number(config, "epsilon", float, "0.0"),
+        adv_weight=_number(config, "adv_weight", float, "0.0"),
     )
     train_config = textclf.ClfTrainConfig(
-        epochs=int(config.get("epochs", "15")),
-        learning_rate=float(config.get("learning_rate", "0.5")),
-        dim=int(config.get("dim", "32")),
-        seed=int(config["seed"]),
+        epochs=_number(config, "epochs", int, "15"),
+        learning_rate=_number(config, "learning_rate", float, "0.5"),
+        dim=_number(config, "dim", int, "32"),
+        seed=_number(config, "seed", int),
     )
     table = None
     if config.get("embeddings"):
@@ -305,10 +315,10 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
                                      f"(use none, {', '.join(methods)})")
         augment_config = aug.AugmentConfig(
             target_class=config.get("augment.target_class", schema.categories[0]),
-            n_samples=int(config.get("augment.n_samples", "100")),
-            per_sentence=int(config.get("augment.per_sentence", "1")),
+            n_samples=_number(config, "augment.n_samples", int, "100"),
+            per_sentence=_number(config, "augment.per_sentence", int, "1"),
             method=aug.Method(method),
-            master_seed=int(config["seed"]),
+            master_seed=_number(config, "seed", int),
         )
         samples = _augment(
             train_sentences, augment_config, entities=config.get("entities"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,28 +24,31 @@ BOS = "<BOS>"
 FORMAT_VERSION = 1
 
 
-def _raw_values(token: str) -> dict[str, str]:
-    return {
-        "w": token,
-        "suf1": token[-1:],
-        "suf2": token[-2:],
-        "suf3": token[-3:],
-        "capInit": "1" if token[0].isupper() else "0",
-        "allCap": "1" if token.isupper() else "0",
-        "digit": "1" if token.isdigit() else "0",
-    }
+_TEMPLATES = ("w", "suf1", "suf2", "suf3", "capInit", "allCap", "digit")
+
+
+def _values(token: str) -> tuple[str, ...]:
+    """The token's value for each feature template, in `_TEMPLATES` order."""
+    return (token, token[-1:], token[-2:], token[-3:],
+            "1" if token[0].isupper() else "0",
+            "1" if token.isupper() else "0",
+            "1" if token.isdigit() else "0")
+
+
+_BOUNDARY = (BOS,) * len(_TEMPLATES)
 
 
 def extract_features(texts: Sequence[str]) -> list[list[str]]:
     """Feature strings for each position: unigrams plus previous-token bigrams."""
-    values = [_raw_values(t) for t in texts]
-    boundary = {name: BOS for name in values[0]} if values else {}
     out = []
-    for i, current in enumerate(values):
-        previous = values[i - 1] if i > 0 else boundary
-        feats = [f"{name}={value}" for name, value in current.items()]
-        feats += [f"b{name}={previous[name]}|{value}" for name, value in current.items()]
+    previous = _BOUNDARY
+    for token in texts:
+        current = _values(token)
+        feats = [f"{name}={value}" for name, value in zip(_TEMPLATES, current)]
+        feats += [f"b{name}={prev}|{value}"
+                  for name, prev, value in zip(_TEMPLATES, previous, current)]
         out.append(feats)
+        previous = current
     return out
 
 
@@ -54,13 +57,16 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights.
+    L*L transition weights. `_token_memo` caches each token's template values
+    and unigram feature ids for `_feature_ids`; it is never serialized.
     """
 
     labels: tuple[str, ...]
     feature_index: dict[str, int]
     weights: np.ndarray
     l2: float = 0.0
+    _token_memo: dict[str, tuple[tuple[str, ...], list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, labels: Sequence[str], token_seqs: Sequence[Sequence[str]],
@@ -121,6 +127,8 @@ class CrfModel:
         if model.weights.shape != (expected,):
             raise ValidationError(f"weight vector has {model.weights.size} entries, "
                                   f"index implies {expected}")
+        if not np.isfinite(model.weights).all():
+            raise ValidationError("model weights must be finite")
         return model
 
     def save(self, path: str) -> None:
@@ -190,10 +198,26 @@ class _Compiled:
 
 
 def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
-    """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one."""
-    index = model.feature_index
-    return np.array([[index.get(f, -1) for f in feats] for feats in extract_features(texts)],
-                    dtype=np.int32)
+    """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one.
+
+    The ids are those of `extract_features(texts)`. A token's values and
+    unigram ids come from the model's memo; only the bigrams are looked up.
+    """
+    get = model.feature_index.get
+    memo = model._token_memo
+    rows = []
+    previous = _BOUNDARY
+    for token in texts:
+        entry = memo.get(token)
+        if entry is None:
+            values = _values(token)
+            entry = memo[token] = (values, [get(f"{name}={value}", -1)
+                                            for name, value in zip(_TEMPLATES, values)])
+        current, unigram_ids = entry
+        rows.append(unigram_ids + [get(f"b{name}={prev}|{value}", -1)
+                                   for name, prev, value in zip(_TEMPLATES, previous, current)])
+        previous = current
+    return np.array(rows, dtype=np.int32)
 
 
 def _compile(model: CrfModel,
@@ -298,22 +322,37 @@ def nll_and_gradient(model: CrfModel, texts: Sequence[str],
 
 
 def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
-    """Highest-scoring label sequence; ties resolve to the earlier label index."""
+    """Highest-scoring label sequence; ties resolve to the earlier label index.
+
+    The recursion runs over Python floats: with a handful of labels that is
+    cheaper than numpy calls per position, and the adds are the same float64
+    adds in the same order, so the path is the one numpy would find.
+    """
     if not texts:
         return []
-    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
-    transitions = model.transitions
-    n, L = emissions.shape
+    emissions = _emissions(model.emission_weights, _feature_ids(model, texts)).tolist()
+    columns = model.transitions.T.tolist()  # columns[j][i]: score of moving from i to j
+    labels = range(model.n_labels)
     delta = emissions[0]
-    back = np.zeros((n, L), dtype=np.intp)
-    for i in range(1, n):
-        scores = delta[:, None] + transitions
-        back[i] = np.argmax(scores, axis=0)
-        delta = scores[back[i], np.arange(L)] + emissions[i]
-    best = int(np.argmax(delta))
+    back = []
+    for row in emissions[1:]:
+        pointers = []
+        scores = []
+        for column, emission in zip(columns, row):
+            best = 0
+            best_score = delta[0] + column[0]
+            for i in labels[1:]:
+                score = delta[i] + column[i]
+                if score > best_score:
+                    best, best_score = i, score
+            pointers.append(best)
+            scores.append(best_score + emission)
+        back.append(pointers)
+        delta = scores
+    best = max(labels, key=delta.__getitem__)
     path = [best]
-    for i in range(n - 1, 0, -1):
-        best = int(back[i, best])
+    for pointers in reversed(back):
+        best = pointers[best]
         path.append(best)
     path.reverse()
     return [model.labels[i] for i in path]

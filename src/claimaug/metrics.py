@@ -8,6 +8,7 @@ average over the categories only.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -94,17 +95,23 @@ def score(gold: Sequence[str], pred: Sequence[str], schema: LabelSchema,
     """
     if len(gold) != len(pred):
         raise ValidationError(f"gold has {len(gold)} labels, predictions {len(pred)}")
-    for label in gold:
-        schema.check(label)
-    for label in pred:
+    pairs = Counter(zip(gold, pred))
+    gold_counts: Counter[str] = Counter()
+    pred_counts: Counter[str] = Counter()
+    for (g, p), count in pairs.items():
+        gold_counts[g] += count
+        pred_counts[p] += count
+    # Both counters hold their labels in first-occurrence order, so the first
+    # unknown label reported is the first one in gold, else the first in pred.
+    for label in [*gold_counts, *pred_counts]:
         schema.check(label)
 
     per_class: dict[str, ClassMetrics] = {}
     absent = []
     for label in schema.labels:
-        tp = sum(1 for g, p in zip(gold, pred) if g == label and p == label)
-        fp = sum(1 for g, p in zip(gold, pred) if g != label and p == label)
-        fn = sum(1 for g, p in zip(gold, pred) if g == label and p != label)
+        tp = pairs[label, label]
+        fp = pred_counts[label] - tp
+        fn = gold_counts[label] - tp
         precision, recall, f1 = _prf(tp, fp, fn)
         support = tp + fn
         per_class[label] = ClassMetrics(precision, recall, f1, support)

@@ -415,6 +415,35 @@ class TestExperiments:
         assert code == 0
         assert (tmp_path / "out-textclf-er" / "report.json").exists()
 
+    @pytest.mark.parametrize("model,method,key,value", [
+        ("crf", "none", "epochs", "x"),
+        ("textclf", "none", "epochs", "x"),
+        ("crf", "none", "seed", "seven"),
+        ("textclf", "aeda", "seed", "seven"),
+        ("crf", "none", "l2", "small"),
+        ("textclf", "none", "adv_weight", "half"),
+        ("textclf", "aeda", "augment.n_samples", "ten"),
+    ])
+    def test_unparsable_number_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                       model, method, key, value):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model, method)
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"{key} = {value}\n")
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert f"{key} must be" in err and repr(value) in err
+
+    def test_train_crf_unparsable_epochs_exits_2(self, tmp_path, fixture_dir, capsys):
+        config = tmp_path / "crf.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "epochs = x",
+        ]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "train-crf", "--config", str(config))
+        assert code == 2
+        assert "epochs must be an integer, got 'x'" in err
+
     def test_missing_seed_rejected(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = tmp_path / "noseed.cfg"
         config.write_text("\n".join([

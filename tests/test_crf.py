@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from claimaug import synth
 from claimaug.crf import (
+    BOS,
     CrfModel,
     TrainConfig,
     dataset_nll,
@@ -19,6 +21,8 @@ from claimaug.crf import (
     sequence_score,
     train,
     viterbi,
+    _emissions,
+    _feature_ids,
 )
 from claimaug.errors import TrainingDiverged, ValidationError
 from claimaug.senttok import split_sentences
@@ -198,7 +202,87 @@ class TestGradient:
                 assert abs(grad[coord] - numeric) / denom < 1e-4
 
 
+def reference_viterbi(model, texts):
+    """Viterbi with numpy per position, as it ran before the scalar recursion."""
+    if not texts:
+        return []
+    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
+    transitions = model.transitions
+    n, L = emissions.shape
+    delta = emissions[0]
+    back = np.zeros((n, L), dtype=np.intp)
+    for i in range(1, n):
+        scores = delta[:, None] + transitions
+        back[i] = np.argmax(scores, axis=0)
+        delta = scores[back[i], np.arange(L)] + emissions[i]
+    best = int(np.argmax(delta))
+    path = [best]
+    for i in range(n - 1, 0, -1):
+        best = int(back[i, best])
+        path.append(best)
+    path.reverse()
+    return [model.labels[i] for i in path]
+
+
+# One-character, digit, all-caps and mixed tokens, plus the boundary symbol
+# itself as a literal token.
+TOKENS = ["a", "%", "7", "80", "IBS", "B12", "gut", "Helped", "the", BOS]
+
+
+@st.composite
+def tied_models(draw):
+    """Tiny models with small integer weights, so that equal scores are common."""
+    labels = [f"L{i}" for i in range(draw(st.integers(1, 4)))]
+    seen = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    model = CrfModel.build(labels, seen)
+    values = draw(st.lists(st.integers(-2, 2), min_size=model.weights.size,
+                           max_size=model.weights.size))
+    model.weights = np.array(values, dtype=np.float64)
+    texts = draw(st.lists(st.sampled_from(TOKENS + ["unseen", "ZZ"]), min_size=1, max_size=7))
+    return model, texts
+
+
+class TestFeatureIds:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5), min_size=1,
+                    max_size=4),
+           st.lists(st.lists(st.sampled_from(TOKENS + ["unseen", "Q", "NEW", "42"]),
+                             min_size=1, max_size=6), min_size=1, max_size=4))
+    def test_match_extract_features(self, seen, queries):
+        model = CrfModel.build(["A", "B"], seen)
+        index = model.feature_index
+        assert model._token_memo == {}
+        for memo in ("cold", "warm"):  # the first pass fills the memo, the second reads it
+            for texts in queries:
+                expected = [[index.get(f, -1) for f in feats]
+                            for feats in extract_features(texts)]
+                ids = _feature_ids(model, texts)
+                assert ids.dtype == np.int32
+                assert ids.tolist() == expected
+            assert set(model._token_memo) == {t for texts in queries for t in texts}
+
+    def test_memo_is_not_serialized(self, tmp_path):
+        model = CrfModel.build(["A", "B"], [["Gut", "feels", "80", "%"]])
+        before = json.dumps(model.to_dict())
+        viterbi(model, ["Gut", "feels", "fine"])
+        assert set(model._token_memo) == {"Gut", "feels", "fine"}
+        assert json.dumps(model.to_dict()) == before
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        assert path.read_text(encoding="utf-8") == before
+        loaded = CrfModel.load(str(path))
+        assert loaded._token_memo == {}
+        assert "_token_memo" not in repr(loaded)
+
+
 class TestViterbi:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_models())
+    def test_matches_numpy_reference_with_ties(self, instance):
+        model, texts = instance
+        assert viterbi(model, texts) == reference_viterbi(model, texts)
+
     def test_matches_enumeration(self):
         rng = random.Random(5)
         for _ in range(60):
@@ -436,6 +520,15 @@ class TestSerialization:
         assert loaded.labels == model.labels
         assert np.array_equal(loaded.weights, model.weights)
         assert viterbi(loaded, texts) == viterbi(model, texts)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        model = CrfModel.build(["A", "B"], [["x"]])
+        model.weights[3] = bad
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        with pytest.raises(ValidationError, match="finite"):
+            CrfModel.load(path)
 
     def test_unknown_version_rejected(self):
         with pytest.raises(ValidationError):

@@ -50,6 +50,29 @@ class TestScore:
         with pytest.raises(SchemaError):
             score(["O"], ["BOGUS"], small_schema)
 
+    @pytest.mark.parametrize("gold,pred,first", [
+        (["O", "X", "Y", "X"], ["Z", "O", "O", "O"], "X"),
+        (["O", "CLA", "O"], ["O", "W", "V"], "W"),
+        (["Y", "X"], ["X", "Y"], "Y"),
+    ])
+    def test_first_unknown_label_named(self, small_schema, gold, pred, first):
+        with pytest.raises(SchemaError, match=f"unknown label '{first}'"):
+            score(gold, pred, small_schema)
+
+    def test_matches_per_label_counts(self, schema):
+        rng = random.Random(3)
+        labels = list(schema.labels)
+        for _ in range(20):
+            n = rng.randint(1, 40)
+            gold = [rng.choice(labels) for _ in range(n)]
+            pred = [rng.choice(labels) for _ in range(n)]
+            report = score(gold, pred, schema)
+            for label in labels:
+                tp = sum(g == p == label for g, p in zip(gold, pred))
+                assert report.per_class[label].support == gold.count(label)
+                precision = 100.0 * tp / pred.count(label) if pred.count(label) else 0.0
+                assert report.per_class[label].precision == precision
+
     def test_joint_permutation_invariant(self, schema):
         rng = random.Random(0)
         labels = list(schema.labels)
