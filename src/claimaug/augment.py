@@ -55,8 +55,8 @@ class AugmentedSample:
 @dataclass(frozen=True)
 class AugmentConfig:
     target_class: str
-    n_samples: int
     method: Method
+    n_samples: int = 100
     per_sentence: int = 1
     master_seed: int = 0
 
@@ -378,7 +378,7 @@ def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
             s, default_entity_annotator, dictionary, rng, seed=seed)
     # Method.LLM
     if llm_client is None:
-        raise ConfigurationError("llm augmentation needs a client (or --offline mock)")
+        raise ConfigurationError("llm augmentation needs a client (--offline or --llm-endpoint)")
     half = (config.n_samples + 1) // 2
 
     def run(s, rng, seed, trial):

@@ -11,9 +11,13 @@ produced nothing, 4 training diverged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import difflib
 import json
+import math
 import os
 import sys
+import typing
 
 from . import augment as aug
 from . import crf as crf_mod
@@ -144,7 +148,8 @@ def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
 def _augment(sentences, config: aug.AugmentConfig, *, entities: str | None, offline: bool,
              llm_endpoint: str | None, workers: int) -> list[aug.AugmentedSample]:
     dictionary = load_entity_dictionary_file(_read_text(entities)) if entities else None
-    client = EchoLlmClient() if offline or not llm_endpoint else HttpLlmClient(llm_endpoint)
+    client = (EchoLlmClient() if offline
+              else HttpLlmClient(llm_endpoint) if llm_endpoint else None)
     return aug.augment_minority(sentences, config, entities=dictionary, llm_client=client,
                                 workers=workers)
 
@@ -188,7 +193,11 @@ def cmd_make_fixture(args) -> int:
         sizes = {}
         for part in args.sizes.split(","):
             label, _, count = part.partition("=")
-            sizes[label.strip()] = int(count)
+            try:
+                sizes[label.strip()] = int(count)
+            except ValueError:
+                raise ConfigurationError(
+                    f"--sizes part {part!r} is not LABEL=COUNT with an integer count") from None
     dataset, bookkeeping = synth.generate(sizes=sizes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_bytes(os.path.join(args.out, "corpus.tsv"),
@@ -205,38 +214,75 @@ def cmd_make_fixture(args) -> int:
     return 0
 
 
-def _experiment_config(path: str) -> dict[str, str]:
-    config = parse_kv_config(_read_text(path))
-    for key in ("train", "schema"):
+# Every key an experiment config may set. A numeric key is read into the
+# dataclass field of its name (`augment.` keys into `aug.AugmentConfig`), and
+# that field's default is the key's only default.
+CONFIG_KEYS = frozenset({
+    "train", "dev", "schema", "seed", "model", "outdir", "model_out",
+    "epochs", "learning_rate", "decay", "l2", "dim", "epsilon", "adv_weight", "embeddings",
+    "augment.method", "augment.target_class", "augment.n_samples", "augment.per_sentence",
+    "entities", "offline", "llm.endpoint",
+})
+
+
+def _check_config(config: dict[str, str], *, need_dev: bool) -> None:
+    """Reject unknown keys, missing keys and files, and bad choices before any work."""
+    for key in config:
+        if key not in CONFIG_KEYS:
+            close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigurationError(f"unknown config key {key!r}{hint}")
+    for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
         if key not in config:
             raise ConfigurationError(f"experiment config missing {key!r}")
-        if not os.path.exists(config[key]):
+    for key in ("train", "schema", "dev"):
+        if key in config and not os.path.exists(config[key]):
             raise ConfigurationError(f"{key} file not found: {config[key]}")
-    if "seed" not in config:
-        raise ConfigurationError("experiment config must set an explicit seed")
-    return config
+    if config.get("offline") not in (None, "true", "false"):
+        raise ConfigurationError(f"offline must be true or false, got {config['offline']!r}")
+    if config.get("model") not in (None, "crf", "textclf"):
+        raise ConfigurationError(f"unknown model {config['model']!r} (use crf or textclf)")
+    methods = [m.value for m in aug.Method]
+    method = config.get("augment.method")
+    if method not in (None, "none", *methods):
+        raise ConfigurationError(f"unknown augment.method {method!r} "
+                                 f"(use none, {', '.join(methods)})")
+    if method == aug.Method.LLM.value and not (config.get("offline") == "true"
+                                               or "llm.endpoint" in config):
+        raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
 
 
-def _number(config: dict[str, str], key: str, kind: type, default: str | None = None):
-    """`kind(config[key])`, or of `default` when the key is unset and a default is given."""
-    text = config[key] if default is None else config.get(key, default)
+def _value(key: str, text: str, kind: type):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{key} must be {noun}, got {text!r}") from None
+        value = None
+    # NaN passes every `x < 0` check in the config dataclasses, so it is refused here.
+    if value is None or (kind is float and not math.isfinite(value)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigurationError(f"{key} must be {noun}, got {text!r}")
+    return value
+
+
+def _settings(cls, config: dict[str, str], prefix: str = "", **fallback):
+    """`cls` with each field read from `config[prefix + name]`, converted to the field's type.
+
+    A field whose key is unset takes `fallback[name]` if given, else its dataclass default.
+    """
+    types = typing.get_type_hints(cls)
+    values = dict(fallback)
+    for field in dataclasses.fields(cls):
+        key = prefix + field.name
+        if key in config:
+            values[field.name] = _value(key, config[key], types[field.name])
+    return cls(**values)
 
 
 def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
+    train_config = _settings(crf_mod.TrainConfig, config)
+    l2 = {"l2": _value("l2", config["l2"], float)} if "l2" in config else {}
     data = [(list(s.texts), list(s.token_labels)) for s in sentences]
-    model = crf_mod.CrfModel.build(schema.labels, [texts for texts, _ in data],
-                                   l2=_number(config, "l2", float, "0.0"))
-    train_config = crf_mod.TrainConfig(
-        epochs=_number(config, "epochs", int, "5"),
-        learning_rate=_number(config, "learning_rate", float, "0.1"),
-        decay=_number(config, "decay", float, "0.01"),
-        seed=_number(config, "seed", int),
-    )
+    model = crf_mod.CrfModel.build(schema.labels, [texts for texts, _ in data], **l2)
     history = crf_mod.train(model, data, train_config)
     for epoch, nll in enumerate(history):
         print(f"epoch {epoch}: nll {nll:.4f}")
@@ -244,16 +290,8 @@ def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
 
 
 def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
-    adv = textclf.AdvConfig(
-        epsilon=_number(config, "epsilon", float, "0.0"),
-        adv_weight=_number(config, "adv_weight", float, "0.0"),
-    )
-    train_config = textclf.ClfTrainConfig(
-        epochs=_number(config, "epochs", int, "15"),
-        learning_rate=_number(config, "learning_rate", float, "0.5"),
-        dim=_number(config, "dim", int, "32"),
-        seed=_number(config, "seed", int),
-    )
+    train_config = _settings(textclf.ClfTrainConfig, config)
+    adv = _settings(textclf.AdvConfig, config)
     table = None
     if config.get("embeddings"):
         table = textclf.EmbeddingTable.from_text(_read_text(config["embeddings"]))
@@ -264,7 +302,8 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
 
 
 def cmd_train(args) -> int:
-    config = _experiment_config(args.config)
+    config = parse_kv_config(_read_text(args.config))
+    _check_config(config, need_dev=False)
     schema, sentences = _load_sentences(config["train"], config["schema"])
     model = args.trainer(sentences, schema, config)
     out = config.get("model_out", args.model_out)
@@ -305,40 +344,29 @@ def cmd_compare(args) -> int:
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:
     """Train the configured model on base + augmented sentences, score on dev."""
+    _check_config(config, need_dev=True)
     schema, train_sentences = _load_sentences(config["train"], config["schema"])
 
-    method = config.get("augment.method", "none")
-    if method != "none":
-        methods = [m.value for m in aug.Method]
-        if method not in methods:
-            raise ConfigurationError(f"unknown augment.method {method!r} "
-                                     f"(use none, {', '.join(methods)})")
-        augment_config = aug.AugmentConfig(
-            target_class=config.get("augment.target_class", schema.categories[0]),
-            n_samples=_number(config, "augment.n_samples", int, "100"),
-            per_sentence=_number(config, "augment.per_sentence", int, "1"),
-            method=aug.Method(method),
-            master_seed=_number(config, "seed", int),
-        )
+    if config.get("augment.method", "none") != "none":
+        augment_config = _settings(aug.AugmentConfig, config, "augment.",
+                                   target_class=schema.categories[0],
+                                   master_seed=_value("seed", config["seed"], int))
         samples = _augment(
             train_sentences, augment_config, entities=config.get("entities"),
-            offline=config.get("offline", "true").lower() != "false",
+            offline=config.get("offline") == "true",
             llm_endpoint=config.get("llm.endpoint"), workers=workers)
         train_sentences = train_sentences + [s.sentence for s in samples]
 
-    model_kind = config.get("model", "textclf")
-    if model_kind == "crf":
+    if config.get("model", "textclf") == "crf":
         model = _train_crf_model(train_sentences, schema, config)
 
         def predict(texts):
             return model.predict(texts)
-    elif model_kind == "textclf":
+    else:
         clf = _train_clf_model(train_sentences, schema, config)
 
         def predict(texts):
             return senttok.project_labels(clf.predict(texts), len(texts))
-    else:
-        raise ConfigurationError(f"unknown model {model_kind!r} (use crf or textclf)")
 
     dev = _load_dataset(config["dev"], schema)
     gold: list[str] = []
@@ -351,9 +379,7 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
 
 
 def cmd_run_experiment(args) -> int:
-    config = _experiment_config(args.config)
-    if "dev" not in config or not os.path.exists(config.get("dev", "")):
-        raise ConfigurationError("experiment config needs an existing dev file")
+    config = parse_kv_config(_read_text(args.config))
     report = run_experiment(config, workers=args.workers)
     out_dir = config.get("outdir", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -142,9 +142,9 @@ class CrfModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
+    epochs: int = 5
     learning_rate: float = 0.1
-    decay: float = 0.0
+    decay: float = 0.01
     seed: int = 0
 
     def __post_init__(self):

@@ -27,24 +27,22 @@ class EmbeddingTable:
     vocab: dict[str, int]
     matrix: np.ndarray
     oov: np.ndarray
-    trainable: bool = False
 
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[1]) if self.matrix.size else int(self.oov.shape[0])
 
     @classmethod
-    def random(cls, tokens: Sequence[str], dim: int, seed: int,
-               trainable: bool = False) -> "EmbeddingTable":
+    def random(cls, tokens: Sequence[str], dim: int, seed: int) -> "EmbeddingTable":
         vocab = {t: i for i, t in enumerate(sorted(set(tokens)))}
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(dim)
         matrix = rng.normal(0.0, scale, size=(len(vocab), dim))
         oov = rng.normal(0.0, scale, size=dim)
-        return cls(vocab=vocab, matrix=matrix, oov=oov, trainable=trainable)
+        return cls(vocab=vocab, matrix=matrix, oov=oov)
 
     @classmethod
-    def from_text(cls, text: str, trainable: bool = False) -> "EmbeddingTable":
+    def from_text(cls, text: str) -> "EmbeddingTable":
         """Parse `token v1 v2 ... vd` lines; a `<OOV>` row, if present, seeds the OOV vector."""
         vocab: dict[str, int] = {}
         rows = []
@@ -79,7 +77,7 @@ class EmbeddingTable:
             oov = np.zeros(dim)
         if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(oov))):
             raise ParseError("embedding values must be finite")
-        return cls(vocab=vocab, matrix=matrix, oov=oov, trainable=trainable)
+        return cls(vocab=vocab, matrix=matrix, oov=oov)
 
 
 def embed_sentence(texts: Sequence[str], table: EmbeddingTable) -> np.ndarray:
@@ -163,13 +161,27 @@ class SoftmaxClassifier:
     def from_dict(cls, data: dict) -> "SoftmaxClassifier":
         if data.get("format_version") != FORMAT_VERSION:
             raise ValidationError(f"unsupported model format {data.get('format_version')!r}")
-        table = EmbeddingTable(vocab=dict(data["vocab"]),
-                               matrix=np.asarray(data["matrix"], dtype=np.float64),
-                               oov=np.asarray(data["oov"], dtype=np.float64))
-        return cls(classes=tuple(data["classes"]),
-                   weights=np.asarray(data["weights"], dtype=np.float64),
-                   bias=np.asarray(data["bias"], dtype=np.float64),
-                   table=table)
+        oov = np.asarray(data["oov"], dtype=np.float64)
+        matrix = np.asarray(data["matrix"], dtype=np.float64)
+        if matrix.size == 0:
+            matrix = matrix.reshape(0, oov.size)  # an empty vocabulary saves as []
+        model = cls(classes=tuple(data["classes"]),
+                    weights=np.asarray(data["weights"], dtype=np.float64),
+                    bias=np.asarray(data["bias"], dtype=np.float64),
+                    table=EmbeddingTable(vocab=dict(data["vocab"]), matrix=matrix, oov=oov))
+        ids = list(model.table.vocab.values())
+        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ValidationError("vocab ids must be exactly 0..V-1, each used once")
+        C, V, d = len(model.classes), len(ids), oov.size
+        arrays = {"weights": (model.weights, (C, d)), "bias": (model.bias, (C,)),
+                  "matrix": (matrix, (V, d)), "oov": (oov, (d,))}
+        for name, (array, shape) in arrays.items():
+            if array.shape != shape:
+                raise ValidationError(f"{name} has shape {array.shape}, expected {shape} "
+                                      f"for {C} classes, {V} words and width {d}")
+            if not np.isfinite(array).all():
+                raise ValidationError(f"{name} must be finite")
+        return model
 
     def save(self, path: str) -> None:
         atomic_write_text(path, json.dumps(self.to_dict()))
@@ -228,7 +240,7 @@ def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
     """Cross-entropy SGD over sentences; seeded and fully deterministic.
 
     The embedding table defaults to a seeded Gaussian over the training
-    vocabulary and stays frozen unless marked trainable.
+    vocabulary; it is never updated.
     """
     if len(token_seqs) != len(labels):
         raise ValidationError("token_seqs and labels differ in length")
@@ -255,19 +267,9 @@ def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            x = xs[idx] if not table.trainable else embed_sentence(token_seqs[idx], table)
-            loss, dW, db, dx = example_gradients(weights, bias, x, ys[idx], adv)
+            loss, dW, db, _ = example_gradients(weights, bias, xs[idx], ys[idx], adv)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
             weights -= config.learning_rate * dW
             bias -= config.learning_rate * db
-            if table.trainable:
-                seq = token_seqs[idx]
-                if seq:
-                    step = config.learning_rate * dx / len(seq)
-                    for t in seq:
-                        if t in table.vocab:
-                            table.matrix[table.vocab[t]] -= step
-                        else:
-                            table.oov -= step
     return SoftmaxClassifier(classes=classes, weights=weights, bias=bias, table=table)

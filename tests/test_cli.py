@@ -4,8 +4,10 @@ import os
 import pytest
 
 from claimaug import augment as aug
+from claimaug import cli
 from claimaug import morph
-from claimaug.cli import main
+from claimaug.cli import CONFIG_KEYS, main
+from claimaug.crf import TrainConfig
 
 
 def run(capsys, *argv):
@@ -50,6 +52,14 @@ class TestMakeFixtureAndStats:
         assert stats["n_texts"] == bookkeeping["n_texts"]
         assert stats["n_unique_words"] == bookkeeping["n_unique_words"]
         assert stats["label_dist"] == bookkeeping["label_token_dist"]
+
+    @pytest.mark.parametrize("sizes,part", [("CLA=x", "CLA=x"), ("CLA=4,EXP", "EXP")])
+    def test_unparsable_sizes_exit_2(self, tmp_path, capsys, sizes, part):
+        code, _, err = run(capsys, "make-fixture", "--seed", "1",
+                           "--out", str(tmp_path / "fx"), "--sizes", sizes)
+        assert code == 2
+        assert f"--sizes part {part!r}" in err
+        assert not (tmp_path / "fx").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", "--data", str(tmp_path / "nope.tsv"),
@@ -177,6 +187,17 @@ class TestAugmentCommand:
         code, stdout, _ = self.augment(capsys, fixture_dir, out, method="llm", n="6")
         assert code == 0
         assert "produced: 6" in stdout
+
+    def test_llm_without_client_exits_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "llm"
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "llm", "--target-class", "CLA",
+                           "--n-samples", "2", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert "llm augmentation needs a client (--offline or --llm-endpoint)" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("method, needs", [
         ("aeda", set()),
@@ -423,6 +444,9 @@ class TestExperiments:
         ("crf", "none", "l2", "small"),
         ("textclf", "none", "adv_weight", "half"),
         ("textclf", "aeda", "augment.n_samples", "ten"),
+        ("textclf", "none", "epsilon", "nan"),
+        ("crf", "none", "decay", "inf"),
+        ("crf", "none", "l2", "nan"),
     ])
     def test_unparsable_number_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
                                        model, method, key, value):
@@ -454,3 +478,96 @@ class TestExperiments:
         code, _, err = run(capsys, "run-experiment", "--config", str(config))
         assert code == 2
         assert "seed" in err
+
+
+def readme_config_keys() -> set[str]:
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("## Experiment config", 1)[1]
+    block = section.split("```", 2)[1]
+    return {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+
+
+class TestConfigCheck:
+    def test_readme_lists_every_accepted_key(self):
+        assert readme_config_keys() == set(CONFIG_KEYS)
+        assert len(CONFIG_KEYS) == 22
+
+    @pytest.mark.parametrize("line,message", [
+        ("epoch = 1", "unknown config key 'epoch'; did you mean 'epochs'?"),
+        ("augment.n_sample = 5",
+         "unknown config key 'augment.n_sample'; did you mean 'augment.n_samples'?"),
+        ("colour = blue", "unknown config key 'colour'"),
+        ("offline = no", "offline must be true or false, got 'no'"),
+        ("model = svm", "unknown model 'svm' (use crf or textclf)"),
+        ("augment.method = llm\noffline = false",
+         "augment.method = llm needs offline = true or llm.endpoint"),
+    ])
+    def test_rejected_before_any_work(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                      monkeypatch, line, message):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["train-crf", "train-clf"])
+    def test_train_rejects_misspelt_key(self, tmp_path, fixture_dir, capsys, command):
+        config = tmp_path / "train.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "learning_rte = 0.1",
+        ]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert "did you mean 'learning_rate'?" in err
+
+    @pytest.mark.parametrize("key", ["train", "schema", "dev"])
+    def test_missing_file_rejected(self, tmp_path, fixture_dir, dev_dir, capsys, key):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"{key} = {tmp_path / 'absent.tsv'}\n")
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert f"{key} file not found" in err
+
+    def test_missing_dev_rejected(self, tmp_path, fixture_dir, capsys):
+        config = tmp_path / "nodev.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1",
+        ]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "run-experiment", "--config", str(config))
+        assert code == 2
+        assert "experiment config missing 'dev'" in err
+
+    @pytest.mark.parametrize("model", ["crf", "textclf"])
+    def test_llm_runs_offline(self, tmp_path, fixture_dir, dev_dir, capsys, model):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model, "llm")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write("offline = true\n")
+        code, _, _ = run(capsys, "run-experiment", "--config", config)
+        assert code == 0
+        assert (tmp_path / f"out-{model}-llm" / "report.json").exists()
+
+    def test_unset_keys_take_the_dataclass_defaults(self, tmp_path, fixture_dir, capsys):
+        config = tmp_path / "crf.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", f"model_out = {tmp_path / 'crf-model.json'}",
+        ]) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "train-crf", "--config", str(config))
+        assert code == 0
+        epochs = [line for line in out.splitlines() if line.startswith("epoch ")]
+        # The history starts with the NLL before the first epoch.
+        assert len(epochs) == TrainConfig().epochs + 1 == 6
+        assert json.loads((tmp_path / "crf-model.json").read_text())["l2"] == 0.0

@@ -177,16 +177,6 @@ class TestTraining:
             train_classifier(seqs, labels, ("A", "B"),
                              ClfTrainConfig(epochs=50, learning_rate=1e308, seed=0))
 
-    def test_trainable_embeddings_update(self):
-        seqs, labels = toy_data()
-        table = EmbeddingTable.random([t for s in seqs for t in s], dim=8, seed=2,
-                                      trainable=True)
-        before = table.matrix.copy()
-        train_classifier(seqs, labels, ("A", "B"),
-                         ClfTrainConfig(epochs=2, learning_rate=0.3, dim=8, seed=0),
-                         table=table)
-        assert not np.array_equal(before, table.matrix)
-
 
 class TestGradients:
     def check_against_fd(self, adv):
@@ -235,3 +225,34 @@ class TestSerialization:
     def test_unknown_version_rejected(self):
         with pytest.raises(ValidationError):
             SoftmaxClassifier.from_dict({"format_version": 0})
+
+    def test_empty_vocabulary_round_trip(self):
+        model = train_classifier([[], []], ["A", "B"], ("A", "B"),
+                                 ClfTrainConfig(epochs=1, dim=3, seed=0))
+        loaded = SoftmaxClassifier.from_dict(model.to_dict())
+        assert loaded.table.matrix.shape == (0, 3)
+        np.testing.assert_array_equal(loaded.predict_proba([]), model.predict_proba([]))
+
+    @pytest.mark.parametrize("key,value", [
+        ("weights", [[0.1, 0.2, 0.0], [0.3, 0.4, 0.0]]),
+        ("weights", [[0.1, 0.2]]),
+        ("bias", [0.0]),
+        ("vocab", {"a": 0, "b": 1, "c": 3}),
+        ("vocab", {"a": 0, "b": 0, "c": 2}),
+        ("vocab", {"a": 0, "b": 1, "c": "2"}),
+        ("vocab", {"a": 0, "b": 1}),
+        ("matrix", [[1.0, 0.0, 0.0]] * 3),
+        ("oov", [0.0, 0.0, 0.0]),
+        ("weights", [[float("nan"), 0.2], [0.3, 0.4]]),
+        ("bias", [0.0, float("inf")]),
+        ("matrix", [[1.0, 0.0], [0.0, float("nan")], [1.0, 1.0]]),
+        ("oov", [float("-inf"), 0.0]),
+    ])
+    def test_malformed_model_rejected(self, key, value):
+        valid = {"format_version": 1, "classes": ["A", "B"],
+                 "weights": [[0.1, 0.2], [0.3, 0.4]], "bias": [0.0, 0.5],
+                 "vocab": {"a": 0, "b": 1, "c": 2},
+                 "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "oov": [0.0, 0.0]}
+        assert SoftmaxClassifier.from_dict(valid).predict(["a", "zzz"]) in ("A", "B")
+        with pytest.raises(ValidationError):
+            SoftmaxClassifier.from_dict({**valid, key: value})
