@@ -65,6 +65,10 @@ class AugmentConfig:
             raise ConfigurationError("n_samples must be >= 1")
         if self.per_sentence < 1:
             raise ConfigurationError("per_sentence must be >= 1")
+        if self.method is Method.LLM and self.per_sentence > 1:
+            raise ConfigurationError(
+                f"per_sentence must be 1 for method llm, got {self.per_sentence}: the LLM "
+                "client takes no seed, so every copy of a sentence would be the same")
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def _check_config(config: dict[str, str], *, need_dev: bool) -> None:
     for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
         if key not in config:
             raise ConfigurationError(f"experiment config missing {key!r}")
-    for key in ("train", "schema", "dev"):
+    for key in ("train", "schema", "dev", "embeddings", "entities"):
         if key in config and not os.path.exists(config[key]):
             raise ConfigurationError(f"{key} file not found: {config[key]}")
     if config.get("offline") not in (None, "true", "false"):

@@ -30,33 +30,6 @@ class LlmClient(Protocol):
         ...
 
 
-class MockLlmClient:
-    """Offline stand-in: replays canned replies and records every prompt.
-
-    `fail_times` makes the first N calls raise a transport error, for retry
-    testing. With a list of replies they are consumed in order; a single
-    string is repeated forever.
-    """
-
-    def __init__(self, reply: str = "", replies: list[str] | None = None, fail_times: int = 0):
-        self.reply = reply
-        self.replies = list(replies) if replies is not None else None
-        self.fail_times = fail_times
-        self.prompts: list[str] = []
-        self._calls = 0
-
-    def complete(self, prompt: str) -> str:
-        self._calls += 1
-        if self._calls <= self.fail_times:
-            raise LlmTransportError("mock transport failure")
-        self.prompts.append(prompt)
-        if self.replies is not None:
-            if not self.replies:
-                return ""
-            return self.replies.pop(0)
-        return self.reply
-
-
 class EchoLlmClient:
     """Offline default: deterministic pseudo-contradiction of the quoted sentence.
 

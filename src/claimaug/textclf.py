@@ -10,6 +10,7 @@ exactly against finite differences.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -125,8 +126,7 @@ class ClfTrainConfig:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
+    exp = np.exp(logits - logits.max())
     return exp / exp.sum()
 
 
@@ -192,45 +192,40 @@ class SoftmaxClassifier:
             return cls.from_dict(json.load(f))
 
 
-def _loss_and_grads(weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
-                    y: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-entropy loss plus gradients w.r.t. weights, bias, and the input."""
+def _loss_and_dlogits(weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
+                      y: int) -> tuple[float, np.ndarray]:
+    """Cross-entropy loss and its gradient w.r.t. the logits."""
     p = softmax(weights @ x + bias)
     loss = -float(np.log(max(p[y], 1e-300)))
-    dlogits = p.copy()
-    dlogits[y] -= 1.0
-    return loss, np.outer(dlogits, x), dlogits, weights.T @ dlogits
+    p[y] -= 1.0
+    return loss, p
+
+
+def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
+                      adv: AdvConfig | None = None,
+                      ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss and the weight and bias gradients for one example.
+
+    With adversarial training active the perturbation direction, the input
+    gradient at the clean point, is treated as constant (standard
+    signed-gradient practice), so the mixture gradient is the weighted sum
+    of the clean and adversarial-point gradients.
+    """
+    loss, d = _loss_and_dlogits(weights, bias, x, y)
+    if adv is None or not adv.active:
+        return loss, d[:, None] * x, d
+    x_adv = fgsm_perturb(x, weights.T @ d, adv.epsilon)
+    adv_loss, d_adv = _loss_and_dlogits(weights, bias, x_adv, y)
+    w = adv.adv_weight
+    return ((1.0 - w) * loss + w * adv_loss,
+            (1.0 - w) * (d[:, None] * x) + w * (d_adv[:, None] * x_adv),
+            (1.0 - w) * d + w * d_adv)
 
 
 def example_loss(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
                  adv: AdvConfig | None = None) -> float:
     """The per-example training objective, including the adversarial mixture."""
-    clean, _, _, dx = _loss_and_grads(weights, bias, x, y)
-    if adv is None or not adv.active:
-        return clean
-    x_adv = fgsm_perturb(x, dx, adv.epsilon)
-    adv_loss, _, _, _ = _loss_and_grads(weights, bias, x_adv, y)
-    return (1.0 - adv.adv_weight) * clean + adv.adv_weight * adv_loss
-
-
-def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
-                      adv: AdvConfig | None = None,
-                      ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and parameter/input gradients for one example.
-
-    With adversarial training active the perturbation direction is treated as
-    constant (standard signed-gradient practice), so the mixture gradient is
-    the weighted sum of the clean and adversarial-point gradients.
-    """
-    clean, dW, db, dx = _loss_and_grads(weights, bias, x, y)
-    if adv is None or not adv.active:
-        return clean, dW, db, dx
-    x_adv = fgsm_perturb(x, dx, adv.epsilon)
-    adv_loss, dW_a, db_a, dx_a = _loss_and_grads(weights, bias, x_adv, y)
-    w = adv.adv_weight
-    loss = (1.0 - w) * clean + w * adv_loss
-    return (loss, (1.0 - w) * dW + w * dW_a, (1.0 - w) * db + w * db_a,
-            (1.0 - w) * dx + w * dx_a)
+    return example_gradients(weights, bias, x, y, adv)[0]
 
 
 def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
@@ -267,8 +262,8 @@ def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            loss, dW, db, _ = example_gradients(weights, bias, xs[idx], ys[idx], adv)
-            if not np.isfinite(loss):
+            loss, dW, db = example_gradients(weights, bias, xs[idx], ys[idx], adv)
+            if not math.isfinite(loss):
                 raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
             weights -= config.learning_rate * dW
             bias -= config.learning_rate * db

@@ -28,10 +28,9 @@ from claimaug.augment import (
 from claimaug.cli import main as cli_main
 from claimaug.corpus import LabelSchema, dataset_stats, parse_token_label_file
 from claimaug.crf import log_partition, nll_and_gradient
-from claimaug.llmclient import MockLlmClient
 from claimaug.metrics import ClassMetrics, MetricsReport, compare, score
 from claimaug.senttok import purity_stats, split_sentences
-from conftest import ScriptedRng, make_sentence
+from conftest import MockLlmClient, ScriptedRng, make_sentence
 
 from test_crf import brute_log_partition, brute_viterbi, random_instance
 
@@ -89,7 +88,7 @@ def test_c2_gradient_checks():
         x = np_rng.normal(size=8)
         y = 3
         for adv in (None, textclf.AdvConfig(epsilon=0.05, adv_weight=0.4)):
-            _, dW, db, _ = textclf.example_gradients(weights, bias, x, y, adv)
+            _, dW, db = textclf.example_gradients(weights, bias, x, y, adv)
             flat_grad = np.concatenate([dW.ravel(), db])
             params = np.concatenate([weights.ravel(), bias])
 

@@ -23,8 +23,7 @@ from claimaug.errors import (
     ConfigurationError,
     ValidationError,
 )
-from claimaug.llmclient import MockLlmClient
-from conftest import make_sentence
+from conftest import MockLlmClient, make_sentence
 
 
 def sentence_from(texts, label="CLA", doc_id="doc", sent_index=0):

@@ -199,6 +199,19 @@ class TestAugmentCommand:
         assert "llm augmentation needs a client (--offline or --llm-endpoint)" in err
         assert not out.exists()
 
+    def test_llm_with_several_copies_exits_2(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "llm"
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "llm", "--target-class", "CLA",
+                           "--n-samples", "3", "--per-sentence", "3", "--seed", "1",
+                           "--out", str(out), "--offline")
+        assert code == 2
+        assert "per_sentence must be 1 for method llm, got 3" in err
+        assert "takes no seed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, needs", [
         ("aeda", set()),
         ("vr-random", {"lexicon", "verb_pool"}),
@@ -529,7 +542,7 @@ class TestConfigCheck:
         assert code == 2
         assert "did you mean 'learning_rate'?" in err
 
-    @pytest.mark.parametrize("key", ["train", "schema", "dev"])
+    @pytest.mark.parametrize("key", ["train", "schema", "dev", "entities"])
     def test_missing_file_rejected(self, tmp_path, fixture_dir, dev_dir, capsys, key):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
         with open(config, "a", encoding="utf-8") as f:
@@ -537,6 +550,20 @@ class TestConfigCheck:
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert f"{key} file not found" in err
+
+    def test_missing_embeddings_rejected_before_augmenting(self, tmp_path, fixture_dir,
+                                                          dev_dir, capsys, monkeypatch):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "vr-random")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"embeddings = {tmp_path / 'missing.txt'}\n")
+
+        def no_augmentation(*args, **kwargs):
+            raise AssertionError("augmentation started")
+
+        monkeypatch.setattr(aug, "augment_minority", no_augmentation)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert "embeddings file not found" in err
 
     def test_missing_dev_rejected(self, tmp_path, fixture_dir, capsys):
         config = tmp_path / "nodev.cfg"
@@ -557,6 +584,15 @@ class TestConfigCheck:
         code, _, _ = run(capsys, "run-experiment", "--config", config)
         assert code == 0
         assert (tmp_path / f"out-{model}-llm" / "report.json").exists()
+
+    def test_llm_with_several_copies_rejected(self, tmp_path, fixture_dir, dev_dir, capsys):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "llm")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write("offline = true\naugment.per_sentence = 2\n")
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert "per_sentence must be 1 for method llm, got 2" in err
+        assert not (tmp_path / "out-textclf-llm").exists()
 
     def test_unset_keys_take_the_dataclass_defaults(self, tmp_path, fixture_dir, capsys):
         config = tmp_path / "crf.cfg"

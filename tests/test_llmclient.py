@@ -5,7 +5,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from claimaug.errors import LlmTransportError
-from claimaug.llmclient import EchoLlmClient, HttpLlmClient, MockLlmClient
+from claimaug.llmclient import EchoLlmClient, HttpLlmClient
+from conftest import MockLlmClient
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -43,13 +43,17 @@ PINNED = {
     "augment/er/manifest.jsonl":
         "a2366a17d80c1d005655b211a7b7e0a59025acc34f1d979b71c7a62eca3fabf0",
     "augment/llm/augmented.tsv":
-        "7d6b7c639cb04d9b9d226710a234df153ab06f439a3d12e04d74cddb8f459c29",
+        "0b3021e0023a4210849f2529096c2954c752e01b4879b8c3cec50181dd37e7c5",
     "augment/llm/manifest.jsonl":
-        "be9ce95af8db19220f3f371fad8c1f5ff66d441319d58f2d26f5ef48830c56d9",
+        "f770fba970d75289f01a11e0111d35caf69490822d59c06a6ac7d5a5fa5133c4",
     "run-experiment/crf/report.json":
         "6f6246f7969a4b7e80871d493326fcb7f4d73648aaf273fc0803d647d2a5b6ac",
     "run-experiment/textclf/report.json":
         "a45eb3d1cefacbc6e1cc1fb35e95b0a609a8a385f5d09872b5cb1480f13ed88f",
+    "run-experiment/textclf-adv/report.json":
+        "7b40913736823ed148e71dd9e6a338015324842f816084e6cb79956c5901b7af",
+    "train-clf/textclf-adv/model.json":
+        "8ed4959ab9a22edf0e2780421b9b3edd897ca5a1010e95f12b8413eac9766e0e",
 }
 
 
@@ -78,26 +82,36 @@ def produce_digests(work: str) -> dict[str, str]:
 
     for method in METHODS:
         out = os.path.join(work, f"aug-{method}")
+        # The LLM client takes no seed, so llm allows only one copy per sentence.
+        per_sentence = "1" if method == "llm" else "2"
         _run("augment", "--data", data, "--schema", schema, "--method", method,
-             "--target-class", "CLA", "--n-samples", "10", "--per-sentence", "2",
+             "--target-class", "CLA", "--n-samples", "10", "--per-sentence", per_sentence,
              "--seed", "7", "--out", out, "--offline")
         for name in ("augmented.tsv", "manifest.jsonl"):
             digests[f"augment/{method}/{name}"] = _sha256(os.path.join(out, name))
 
-    for model in ("crf", "textclf"):
-        config = os.path.join(work, f"{model}.cfg")
-        outdir = os.path.join(work, f"exp-{model}")
+    # At 2 epochs the tiny fixture's report is the same with and without
+    # adversarial training, so the adversarial run trains for 5.
+    clean = ["epochs = 2", "learning_rate = 0.3"]
+    adversarial = ["epochs = 5", "epsilon = 0.01", "adv_weight = 0.5",
+                   f"model_out = {os.path.join(work, 'clf-adv.json')}"]
+    experiments = {"crf": ("crf", clean), "textclf": ("textclf", clean),
+                   "textclf-adv": ("textclf", adversarial)}
+    for name, (model, settings) in experiments.items():
+        config = os.path.join(work, f"{name}.cfg")
+        outdir = os.path.join(work, f"exp-{name}")
         with open(config, "w", encoding="utf-8") as f:
             f.write("\n".join([
                 f"train = {data}", f"dev = {os.path.join(dev, 'corpus.tsv')}",
-                f"schema = {schema}", f"model = {model}", "seed = 7",
-                "epochs = 2", "learning_rate = 0.3",
+                f"schema = {schema}", f"model = {model}", "seed = 7", *settings,
                 "augment.method = vr-random", "augment.target_class = CLA",
                 "augment.n_samples = 10", f"outdir = {outdir}",
             ]) + "\n")
         _run("run-experiment", "--config", config)
-        digests[f"run-experiment/{model}/report.json"] = _sha256(
+        digests[f"run-experiment/{name}/report.json"] = _sha256(
             os.path.join(outdir, "report.json"))
+    _run("train-clf", "--config", os.path.join(work, "textclf-adv.cfg"))
+    digests["train-clf/textclf-adv/model.json"] = _sha256(os.path.join(work, "clf-adv.json"))
     return digests
 
 

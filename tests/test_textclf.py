@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimaug.errors import ParseError, TrainingDiverged, ValidationError
 from claimaug.textclf import (
@@ -16,6 +18,7 @@ from claimaug.textclf import (
     softmax,
     train_classifier,
 )
+from claimaug.util import derive_seed
 
 
 @pytest.fixture
@@ -87,7 +90,8 @@ class TestFgsm:
             bias = rng.normal(size=3)
             x = rng.normal(size=5)
             y = 1
-            _, _, _, dx = example_gradients(weights, bias, x, y)
+            _, _, db = example_gradients(weights, bias, x, y)
+            dx = weights.T @ db
             if np.all(dx == 0):
                 continue
             x_adv = fgsm_perturb(x, dx, 1e-3)
@@ -185,7 +189,7 @@ class TestGradients:
         bias = rng.normal(size=3)
         x = rng.normal(size=6)
         y = 2
-        _, dW, db, _ = example_gradients(weights, bias, x, y, adv)
+        _, dW, db = example_gradients(weights, bias, x, y, adv)
         h = 1e-5
         flat_params = [("W", i, j) for i in range(3) for j in range(6)] \
             + [("b", i, None) for i in range(3)]
@@ -256,3 +260,81 @@ class TestSerialization:
         assert SoftmaxClassifier.from_dict(valid).predict(["a", "zzz"]) in ("A", "B")
         with pytest.raises(ValidationError):
             SoftmaxClassifier.from_dict({**valid, key: value})
+
+
+def reference_loss_and_grads(weights, bias, x, y):
+    """The original textclf step: loss plus gradients w.r.t. weights, bias and input."""
+    p = softmax(weights @ x + bias)
+    loss = -float(np.log(max(p[y], 1e-300)))
+    dlogits = p.copy()
+    dlogits[y] -= 1.0
+    return loss, np.outer(dlogits, x), dlogits, weights.T @ dlogits
+
+
+def reference_example_gradients(weights, bias, x, y, adv=None):
+    """The original `example_gradients`, kept as the bit-identity oracle."""
+    clean, dW, db, dx = reference_loss_and_grads(weights, bias, x, y)
+    if adv is None or not adv.active:
+        return clean, dW, db, dx
+    x_adv = fgsm_perturb(x, dx, adv.epsilon)
+    adv_loss, dW_a, db_a, dx_a = reference_loss_and_grads(weights, bias, x_adv, y)
+    w = adv.adv_weight
+    loss = (1.0 - w) * clean + w * adv_loss
+    return (loss, (1.0 - w) * dW + w * dW_a, (1.0 - w) * db + w * db_a,
+            (1.0 - w) * dx + w * dx_a)
+
+
+def reference_train(seqs, labels, classes, config, adv):
+    """`train_classifier` as a dense loop over the reference step."""
+    table = EmbeddingTable.random([t for seq in seqs for t in seq], config.dim,
+                                  seed=derive_seed(config.seed, "embeddings"))
+    xs = [embed_sentence(seq, table) for seq in seqs]
+    ys = [classes.index(l) for l in labels]
+    weights = np.zeros((len(classes), config.dim))
+    bias = np.zeros(len(classes))
+    rng = random.Random(derive_seed(config.seed, "shuffle"))
+    order = list(range(len(xs)))
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            _, dW, db, _ = reference_example_gradients(weights, bias, xs[idx], ys[idx], adv)
+            weights = weights - config.learning_rate * dW
+            bias = bias - config.learning_rate * db
+    return weights, bias
+
+
+ADV_SETTINGS = st.one_of(
+    st.none(),
+    st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.floats(0.0, 1.0)),
+    st.builds(AdvConfig, epsilon=st.just(0.0), adv_weight=st.floats(0.0, 1.0)),
+)
+
+
+class TestBitIdentity:
+    """The training step keeps the reference's float64 arithmetic exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(C=st.integers(2, 6), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 10.0, 300.0]), data=st.data(),
+           adv=ADV_SETTINGS)
+    def test_step_equals_reference(self, C, d, seed, scale, data, adv):
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(scale=scale, size=(C, d))
+        bias = rng.normal(scale=scale, size=C)
+        x = rng.normal(size=d)
+        y = data.draw(st.integers(0, C - 1))
+        loss, dW, db = example_gradients(weights, bias, x, y, adv)
+        ref_loss, ref_dW, ref_db, _ = reference_example_gradients(weights, bias, x, y, adv)
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(dW, ref_dW)
+        assert np.array_equal(db, ref_db)
+
+    @pytest.mark.parametrize("adv", [AdvConfig(epsilon=0.05, adv_weight=0.4),
+                                     AdvConfig(epsilon=0.01, adv_weight=1.0)])
+    def test_training_equals_reference_loop(self, adv):
+        seqs, labels = toy_data()
+        config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
+        model = train_classifier(seqs, labels, ("A", "B"), config, adv=adv)
+        weights, bias = reference_train(seqs, labels, ("A", "B"), config, adv)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
