@@ -152,9 +152,51 @@ def _tense_roundtrips(base: str, tense: morph.Tense, lexicon: morph.VerbLexicon)
     return detected is not None and detected[1] is tense
 
 
+@dataclass
+class OperatorMemo:
+    """What an operator derives from its fixed inputs, kept across its trials.
+
+    `per_texts` maps a sentence's token texts to what depends on them alone
+    (its eligible verbs, or its checked entity spans); `candidates` maps a
+    (base, tense) or (category, surface) pair to its replacement list. The
+    entries hold only for the lexicon, pool, annotator and dictionary they
+    were computed with, so one memo serves one operator of one run.
+    """
+
+    per_texts: dict = field(default_factory=dict)
+    candidates: dict = field(default_factory=dict)
+
+
+def _cached(table: dict, key, compute: Callable):
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute()
+    return value
+
+
+def _eligible_verbs(texts: Sequence[str],
+                    lexicon: morph.VerbLexicon) -> list[tuple[int, str, morph.Tense]]:
+    eligible = []
+    for i, text in enumerate(texts):
+        detected = morph.detect_verb(text, lexicon)
+        if detected is not None:
+            eligible.append((i, detected[0], detected[1]))
+    return eligible
+
+
+def _verb_candidates(base: str, tense: morph.Tense, lexicon: morph.VerbLexicon,
+                     replacement_source: Sequence[str] | morph.AntonymLexicon,
+                     mode: Method) -> list[tuple[str, str]]:
+    """(new base, surface at `tense`) for every replacement that re-detects at `tense`."""
+    bases = replacement_source if mode is Method.VR_RANDOM else replacement_source.get(base)
+    return [(b, _conjugate_any(b, tense, lexicon)) for b in bases
+            if b != base and _tense_roundtrips(b, tense, lexicon)]
+
+
 def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
                  replacement_source: Sequence[str] | morph.AntonymLexicon,
-                 mode: Method, rng: random.Random, seed: int = 0) -> AugmentedSample | None:
+                 mode: Method, rng: random.Random, seed: int = 0,
+                 memo: OperatorMemo | None = None) -> AugmentedSample | None:
     """Replace one verb, conjugating the replacement to the original's tense.
 
     Random mode draws the new base from the training-verb pool (minus the
@@ -162,28 +204,23 @@ def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
     Candidates whose conjugated surface would not be detected back at the
     same tense are skipped, so tense is preserved under re-detection too.
     Returns None when the sentence has no eligible verb or no candidate
-    replacement exists.
+    replacement exists. A `memo` shared by calls with the same lexicon,
+    source and mode spares them the repeated lookups; the sample is the same.
     """
     if mode not in (Method.VR_RANDOM, Method.VR_ANTONYM):
         raise ConfigurationError(f"verb_replace mode must be vr-random or vr-antonym, got {mode}")
-    eligible = []
-    for i, text in enumerate(sentence.texts):
-        detected = morph.detect_verb(text, lexicon)
-        if detected is not None:
-            eligible.append((i, detected[0], detected[1]))
+    memo = memo if memo is not None else OperatorMemo()
+    eligible = _cached(memo.per_texts, sentence.texts,
+                       lambda: _eligible_verbs(sentence.texts, lexicon))
     if not eligible:
         return None
     index, base, tense = eligible[rng.randrange(len(eligible))]
 
-    if mode is Method.VR_RANDOM:
-        candidates = [b for b in replacement_source if b != base]
-    else:
-        candidates = [b for b in replacement_source.get(base) if b != base]
-    candidates = [b for b in candidates if _tense_roundtrips(b, tense, lexicon)]
+    candidates = _cached(memo.candidates, (base, tense), lambda: _verb_candidates(
+        base, tense, lexicon, replacement_source, mode))
     if not candidates:
         return None
-    new_base = candidates[rng.randrange(len(candidates))]
-    surface = _conjugate_any(new_base, tense, lexicon)
+    new_base, surface = candidates[rng.randrange(len(candidates))]
     if sentence.texts[index][0].isupper():
         surface = surface[0].upper() + surface[1:]
 
@@ -279,25 +316,36 @@ def _validate_spans(spans: Sequence[EntitySpan], n: int) -> None:
             raise ValidationError("entity annotator returned overlapping spans")
 
 
+def _checked_spans(texts: Sequence[str], annotator: EntityAnnotator,
+                   dictionary: EntityDictionary) -> list[EntitySpan]:
+    spans = annotator(texts)
+    _validate_spans(spans, len(texts))
+    for span in spans:
+        if span.category not in dictionary.entries:
+            raise ConfigurationError(f"entity dictionary has no category {span.category!r}")
+    return spans
+
+
 def entity_replace(sentence: LabeledSentence, annotator: EntityAnnotator,
                    dictionary: EntityDictionary, rng: random.Random,
-                   seed: int = 0) -> AugmentedSample | None:
+                   seed: int = 0, memo: OperatorMemo | None = None) -> AugmentedSample | None:
     """Swap one annotated entity for a same-category entity from the dictionary.
 
     Inserted tokens all take the label of the replaced span's first token.
     Returns None when the sentence has no entities or the dictionary offers
-    no alternative to the original surface form.
+    no alternative to the original surface form. A `memo` shared by calls
+    with the same annotator and dictionary spares them the repeated
+    annotation; the sample is the same.
     """
-    spans = annotator(sentence.texts)
-    _validate_spans(spans, len(sentence.texts))
-    for span in spans:
-        if span.category not in dictionary.entries:
-            raise ConfigurationError(f"entity dictionary has no category {span.category!r}")
+    memo = memo if memo is not None else OperatorMemo()
+    spans = _cached(memo.per_texts, sentence.texts,
+                    lambda: _checked_spans(sentence.texts, annotator, dictionary))
     if not spans:
         return None
     span = spans[rng.randrange(len(spans))]
     original = tuple(sentence.texts[span.token_start:span.token_end])
-    candidates = [form for form in dictionary.entries[span.category] if form != original]
+    candidates = _cached(memo.candidates, (span.category, original), lambda: [
+        form for form in dictionary.entries[span.category] if form != original])
     if not candidates:
         return None
     replacement = candidates[rng.randrange(len(candidates))]
@@ -322,8 +370,10 @@ def llm_contradict(sentence_text: str, client: LlmClient, prompt_variant: int,
                    retries: int = 3) -> str:
     """Ask the client to contradict the sentence using one of the two prompts.
 
-    Transport errors are retried up to `retries` times, then re-raised; an
-    empty completion raises AugmentationFailed.
+    Transport errors (timeouts, connection errors, 5xx) are retried up to
+    `retries` times, then re-raised; any other error, such as the
+    ConfigurationError of an HTTP 4xx answer, ends the call at once. An empty
+    completion raises AugmentationFailed.
     """
     if prompt_variant not in PROMPT_TEMPLATES:
         raise ConfigurationError(f"prompt_variant must be 1 or 2, got {prompt_variant}")
@@ -361,11 +411,14 @@ def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
                    entities: EntityDictionary | None, llm_client: LlmClient | None):
     """Bind the chosen operator to its inputs, building only those.
 
-    Returns fn(sentence, rng, seed, trial) -> sample or None.
+    Returns fn(sentence, rng, seed, trial) -> sample or None. The verb and
+    entity operators share one memo across the run's trials, since every
+    source sentence is tried once per cycle.
     """
     method = config.method
     if method is Method.AEDA:
         return lambda s, rng, seed, trial: aeda(s, rng, seed=seed)
+    memo = OperatorMemo()
     if method in (Method.VR_RANDOM, Method.VR_ANTONYM):
         lexicon = morph.load_default_verb_lexicon()
         if method is Method.VR_RANDOM:
@@ -375,11 +428,11 @@ def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
         else:
             source = morph.load_default_antonyms()
         return lambda s, rng, seed, trial: verb_replace(
-            s, lexicon, source, method, rng, seed=seed)
+            s, lexicon, source, method, rng, seed=seed, memo=memo)
     if method is Method.ER:
         dictionary = entities if entities is not None else build_entity_dictionary(sentences)
         return lambda s, rng, seed, trial: entity_replace(
-            s, default_entity_annotator, dictionary, rng, seed=seed)
+            s, default_entity_annotator, dictionary, rng, seed=seed, memo=memo)
     # Method.LLM
     if llm_client is None:
         raise ConfigurationError("llm augmentation needs a client (--offline or --llm-endpoint)")
@@ -414,7 +467,9 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
     reason histogram. The outcome of every trial is a pure function of
     (master seed, source, cycle), and each batch runs no more trials than
     are still needed, so the result and the operator calls made are the
-    same for any worker count.
+    same for any worker count. Only `llm` trials, which wait on the client,
+    run on `workers` threads; the other operators are CPU-bound and run in
+    the calling thread.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -466,7 +521,7 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
             trial += size
         return produced
 
-    if workers == 1:
+    if workers == 1 or config.method is not Method.LLM:
         return run_batches(map)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return run_batches(pool.map)

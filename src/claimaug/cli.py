@@ -31,6 +31,7 @@ from .corpus import (
     LabelSchema,
     dataset_stats,
     format_schema_config,
+    label_counts,
     parse_schema_config,
     parse_token_label_file,
     serialize_token_label_file,
@@ -73,7 +74,7 @@ def _load_sentences(data_path: str,
     dataset = _load_dataset(data_path, _load_schema(schema_path))
     schema = dataset.schema
     if not schema.train_freq:
-        schema = schema.with_train_freq(dataset_stats(dataset).label_dist)
+        schema = schema.with_train_freq(label_counts(dataset))
     sentences = [sentence for doc in dataset.documents
                  for sentence in senttok.split_sentences(doc, schema)]
     return schema, sentences
@@ -225,13 +226,30 @@ CONFIG_KEYS = frozenset({
 })
 
 
-def _check_config(config: dict[str, str], *, need_dev: bool) -> None:
-    """Reject unknown keys, missing keys and files, and bad choices before any work."""
+# Keys only one model reads; every other key is read whichever model trains.
+# Setting one for the other model is an error, so `dim` under model = crf
+# cannot pass for a setting.
+_MODEL_KEYS = {"crf": ("decay", "l2"), "textclf": ("dim", "epsilon", "adv_weight", "embeddings")}
+_COMMAND_MODEL = {"train-crf": "crf", "train-clf": "textclf"}
+
+
+def _check_config(config: dict[str, str], command: str) -> None:
+    """Reject unknown, unread and missing keys, missing files and bad choices before any work."""
     for key in config:
         if key not in CONFIG_KEYS:
             close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigurationError(f"unknown config key {key!r}{hint}")
+    if config.get("model") not in (None, "crf", "textclf"):
+        raise ConfigurationError(f"unknown model {config['model']!r} (use crf or textclf)")
+    model = _COMMAND_MODEL.get(command, config.get("model", "textclf"))
+    for other, keys in _MODEL_KEYS.items():
+        for key in keys:
+            if other != model and key in config:
+                where = command if command in _COMMAND_MODEL else f"model = {model}"
+                raise ConfigurationError(
+                    f"config key {key!r} is read only by model = {other}, not by {where}")
+    need_dev = command == "run-experiment"
     for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
         if key not in config:
             raise ConfigurationError(f"experiment config missing {key!r}")
@@ -240,8 +258,6 @@ def _check_config(config: dict[str, str], *, need_dev: bool) -> None:
             raise ConfigurationError(f"{key} file not found: {config[key]}")
     if config.get("offline") not in (None, "true", "false"):
         raise ConfigurationError(f"offline must be true or false, got {config['offline']!r}")
-    if config.get("model") not in (None, "crf", "textclf"):
-        raise ConfigurationError(f"unknown model {config['model']!r} (use crf or textclf)")
     methods = [m.value for m in aug.Method]
     method = config.get("augment.method")
     if method not in (None, "none", *methods):
@@ -303,7 +319,7 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
 
 def cmd_train(args) -> int:
     config = parse_kv_config(_read_text(args.config))
-    _check_config(config, need_dev=False)
+    _check_config(config, args.command)
     schema, sentences = _load_sentences(config["train"], config["schema"])
     model = args.trainer(sentences, schema, config)
     out = config.get("model_out", args.model_out)
@@ -344,7 +360,7 @@ def cmd_compare(args) -> int:
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:
     """Train the configured model on base + augmented sentences, score on dev."""
-    _check_config(config, need_dev=True)
+    _check_config(config, "run-experiment")
     schema, train_sentences = _load_sentences(config["train"], config["schema"])
 
     if config.get("augment.method", "none") != "none":

@@ -10,6 +10,7 @@ File formats:
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -50,11 +51,8 @@ class LabelSchema:
     def labels(self) -> tuple[str, ...]:
         return (self.outside_label,) + self.categories
 
-    def is_valid(self, label: str) -> bool:
-        return label == self.outside_label or label in self.categories
-
     def check(self, label: str) -> None:
-        if not self.is_valid(label):
+        if label != self.outside_label and label not in self.categories:
             raise SchemaError(f"unknown label {label!r} (schema: {', '.join(self.labels)})")
 
     def freq(self, label: str) -> float:
@@ -98,8 +96,10 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "documents", tuple(self.documents))
+        labels = frozenset(self.schema.labels)
         for doc in self.documents:
-            doc.validate_against(self.schema)
+            if not labels.issuperset(doc.token_labels):
+                doc.validate_against(self.schema)
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,9 @@ def format_schema_config(schema: LabelSchema) -> str:
     return "\n".join(lines) + "\n"
 
 
+_WHITESPACE = re.compile(r"\s")
+
+
 def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     """Parse a token-label file into a Dataset, one Document per block.
 
@@ -152,28 +155,30 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}")
     documents: list[Document] = []
-    block: list[tuple[str, str]] = []
+    texts: list[str] = []
+    labels: list[str] = []
 
     def flush():
-        if not block:
-            return
-        texts, labels = zip(*block)
-        documents.append(Document(id=f"d{len(documents)}", texts=texts, token_labels=labels))
-        block.clear()
+        if texts:
+            documents.append(Document(id=f"d{len(documents)}", texts=texts, token_labels=labels))
+            texts.clear()
+            labels.clear()
 
+    known = frozenset(schema.labels)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+        if not raw or raw.isspace():
             flush()
             continue
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 'token<TAB>label', got {len(fields)} fields", line=lineno)
         token_text, label = fields
-        if not token_text or any(c.isspace() for c in token_text):
+        if not token_text or _WHITESPACE.search(token_text):
             raise ParseError(f"bad token text {token_text!r}", line=lineno)
-        if not schema.is_valid(label):
+        if label not in known:
             raise SchemaError(f"line {lineno}: unknown label {label!r}")
-        block.append((token_text, label))
+        texts.append(token_text)
+        labels.append(label)
     flush()
     return Dataset(schema=schema, documents=tuple(documents))
 
@@ -191,21 +196,25 @@ def serialize_token_label_file(blocks: Iterable[TokenLabelBlock]) -> bytes:
     return (body + "\n").encode("utf-8") if body else b""
 
 
+def label_counts(dataset: Dataset) -> dict[str, int]:
+    """Tokens per label, every schema label listed (zero if absent)."""
+    dist = Counter({label: 0 for label in dataset.schema.labels})
+    for doc in dataset.documents:
+        dist.update(doc.token_labels)
+    return dict(dist)
+
+
 def dataset_stats(dataset: Dataset) -> CorpusStats:
     """Texts / unique words / max length / per-label token counts.
 
     Unique words are distinct raw token strings, case-sensitive.
     """
     words = set()
-    dist = Counter({label: 0 for label in dataset.schema.labels})
-    max_length = 0
     for doc in dataset.documents:
-        max_length = max(max_length, len(doc.texts))
         words.update(doc.texts)
-        dist.update(doc.token_labels)
     return CorpusStats(
         n_texts=len(dataset.documents),
         n_unique_words=len(words),
-        max_length=max_length,
-        label_dist=dict(dist),
+        max_length=max((len(doc.texts) for doc in dataset.documents), default=0),
+        label_dist=label_counts(dataset),
     )

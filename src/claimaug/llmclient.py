@@ -3,7 +3,9 @@
 Wire format of the HTTP client: POST a JSON body `{"prompt": "..."}` to the
 configured endpoint; the response is a JSON object whose `completion` field
 holds the generated text. The auth token, if any, is read from an environment
-variable and sent as a Bearer header.
+variable and sent as a Bearer header. An HTTP 4xx answer is a
+ConfigurationError, which is not retried; timeouts, connection errors, 5xx
+answers and malformed bodies are LlmTransportError, which is.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import urllib.error
 import urllib.request
 from typing import Protocol
 
-from .errors import LlmTransportError
+from .errors import ConfigurationError, LlmTransportError
 
 PROMPT_TEMPLATES = {
     1: 'Contradict this sentence with colorful words "{sentence}"',
@@ -60,7 +62,14 @@ class HttpLlmClient:
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 payload = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, urllib.error.HTTPError, TimeoutError, OSError) as exc:
+        except urllib.error.HTTPError as exc:
+            # A 4xx answer (bad request, bad token, unknown path) repeats on retry.
+            if 400 <= exc.code < 500:
+                raise ConfigurationError(
+                    f"LLM endpoint {self.endpoint} refused the request: HTTP {exc.code} "
+                    f"{exc.reason}") from exc
+            raise LlmTransportError(f"LLM endpoint {self.endpoint}: {exc}") from exc
+        except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise LlmTransportError(f"LLM endpoint {self.endpoint}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LlmTransportError(f"LLM endpoint returned malformed JSON: {exc}") from exc

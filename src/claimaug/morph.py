@@ -12,6 +12,7 @@ Lexicon TSV: `base<TAB>3sg<TAB>past<TAB>gerund<TAB>past_participle`, where
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -35,9 +36,9 @@ DETECT_PRIORITY = (
     Tense.PAST_PARTICIPLE,
     Tense.BASE,
 )
-_PRIORITY_RANK = {t: i for i, t in enumerate(DETECT_PRIORITY)}
 
 _VOWELS = "aeiou"
+_WHITESPACE = re.compile(r"\s")
 
 # Bases that double their final consonant before -ed / -ing.
 DOUBLING = frozenset("""
@@ -139,16 +140,15 @@ class AntonymLexicon:
 
 
 def _build_reverse(entries: dict[str, VerbForms]) -> dict[str, tuple[tuple[str, Tense], ...]]:
+    """Surface form -> its (base, tense) readings in detection priority, then base order."""
     reverse: dict[str, list[tuple[str, Tense]]] = {}
-    for base in sorted(entries):
-        forms = entries[base]
-        for tense in Tense:
-            surface = forms.form(base, tense)
+    bases = sorted(entries)
+    for tense in DETECT_PRIORITY:
+        surfaces = bases if tense is Tense.BASE else [
+            getattr(entries[base], tense.value) for base in bases]
+        for base, surface in zip(bases, surfaces):
             reverse.setdefault(surface, []).append((base, tense))
-    return {
-        surface: tuple(sorted(pairs, key=lambda p: (_PRIORITY_RANK[p[1]], p[0])))
-        for surface, pairs in reverse.items()
-    }
+    return {surface: tuple(pairs) for surface, pairs in reverse.items()}
 
 
 def load_stoplist(text: str) -> frozenset[str]:
@@ -167,7 +167,7 @@ def load_verb_lexicon(text: str, stoplist: frozenset[str] | None = None) -> Verb
         if len(cols) != 5:
             raise ParseError(f"expected 5 tab-separated columns, got {len(cols)}", line=lineno)
         base = cols[0].strip()
-        if not base or base != base.lower() or any(c.isspace() for c in base):
+        if not base or base != base.lower() or _WHITESPACE.search(base):
             raise ParseError(f"bad verb base {base!r}", line=lineno)
         if base in entries:
             raise ParseError(f"duplicate base {base!r}", line=lineno)
@@ -175,7 +175,7 @@ def load_verb_lexicon(text: str, stoplist: frozenset[str] | None = None) -> Verb
         cells = [c.strip() for c in cols[1:]]
         defaults = [rules.present_3sg, rules.past, rules.gerund, rules.past_participle]
         filled = [cell if cell != "-" else default for cell, default in zip(cells, defaults)]
-        if any(not f or any(c.isspace() for c in f) for f in filled):
+        if any(not f or _WHITESPACE.search(f) for f in filled):
             raise ParseError(f"bad form in row for {base!r}", line=lineno)
         entries[base] = VerbForms(*filled)
     return VerbLexicon(entries=entries, reverse=_build_reverse(entries),

@@ -56,9 +56,8 @@ def default_abbreviations() -> frozenset[str]:
 
 
 def _is_boundary(texts: Sequence[str], i: int, abbreviations: frozenset[str]) -> bool:
+    """Whether token i, which ends in terminal punctuation, ends its sentence."""
     text = texts[i]
-    if text[-1] not in _TERMINALS:
-        return False
     stem = text.rstrip(_TERMINALS)
     if stem:
         return stem not in abbreviations
@@ -80,19 +79,22 @@ def split_sentences(document: Document, schema: LabelSchema) -> list[LabeledSent
     if not texts:
         raise ValidationError(f"document {document.id} has no tokens")
     abbreviations = default_abbreviations()
+    last = len(texts) - 1
+    ends = [i for i, text in enumerate(texts)
+            if text[-1] in _TERMINALS and i < last and _is_boundary(texts, i, abbreviations)]
+    ends.append(last)
     sentences = []
     start = 0
-    for i in range(len(texts)):
-        if _is_boundary(texts, i, abbreviations) or i == len(texts) - 1:
-            labels = document.token_labels[start:i + 1]
-            sentences.append(LabeledSentence(
-                doc_id=document.id,
-                sent_index=len(sentences),
-                texts=texts[start:i + 1],
-                token_labels=labels,
-                sentence_label=majority_label(labels, schema),
-            ))
-            start = i + 1
+    for end in ends:
+        labels = document.token_labels[start:end + 1]
+        sentences.append(LabeledSentence(
+            doc_id=document.id,
+            sent_index=len(sentences),
+            texts=texts[start:end + 1],
+            token_labels=labels,
+            sentence_label=majority_label(labels, schema),
+        ))
+        start = end + 1
     return sentences
 
 
@@ -104,9 +106,14 @@ def majority_label(token_labels: Sequence[str], schema: LabelSchema) -> str:
     """
     if not token_labels:
         raise ValidationError("majority_label needs a non-empty label sequence")
+    first = token_labels[0]
+    if 2 * token_labels.count(first) > len(token_labels):
+        return first  # on more than half the tokens, so no other label ties it
     counts = Counter(token_labels)
     best_count = max(counts.values())
     tied = [label for label, c in counts.items() if c == best_count]
+    if len(tied) == 1:
+        return tied[0]
     return min(tied, key=lambda l: (schema.freq(l), schema.tie_order(l)))
 
 

@@ -15,11 +15,8 @@ def derive_seed(*parts: object) -> int:
     The same parts always give the same seed on any platform or process, so
     everything downstream of one master seed stays reproducible.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "big")
+    data = "".join(f"{part!r}\x1f" for part in parts).encode("utf-8")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from claimaug import augment as aug
 from claimaug import morph
 from claimaug.augment import (
     AugmentConfig,
@@ -12,6 +13,8 @@ from claimaug.augment import (
     Method,
     aeda,
     augment_minority,
+    build_entity_dictionary,
+    build_verb_pool,
     default_entity_annotator,
     entity_replace,
     llm_contradict,
@@ -377,3 +380,52 @@ class TestScheduler:
         with pytest.raises(ConfigurationError):
             augment_minority(fleet(3, lexicon), config, workers=0)
 
+
+class TestPerRunMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(fleet_seed=st.integers(0, 2**32), draw_seed=st.integers(0, 2**32),
+           method=st.sampled_from([Method.VR_RANDOM, Method.VR_ANTONYM, Method.ER]))
+    def test_memoised_operator_matches_fresh_calls(self, lexicon, antonyms, fleet_seed,
+                                                   draw_seed, method):
+        # Sources repeat, as they do when the request exceeds the target sentences,
+        # so later trials read what earlier ones stored in the memo.
+        sentences = fleet(8, lexicon, with_entity=True, seed=fleet_seed)
+        config = AugmentConfig(target_class="CLA", n_samples=1, method=method)
+        operator = aug._make_operator(sentences, config, None, None)
+        if method is Method.ER:
+            dictionary = build_entity_dictionary(sentences)
+
+            def fresh(s, rng, seed):
+                return entity_replace(s, default_entity_annotator, dictionary, rng, seed=seed)
+        else:
+            source = (build_verb_pool(sentences, lexicon) if method is Method.VR_RANDOM
+                      else antonyms)
+
+            def fresh(s, rng, seed):
+                return verb_replace(s, lexicon, source, method, rng, seed=seed)
+
+        draws = random.Random(draw_seed)
+        for trial in range(40):
+            source_sentence = draws.choice(sentences)
+            seed = draws.getrandbits(64)
+            memoised = operator(source_sentence, random.Random(seed), seed, trial)
+            assert memoised == fresh(source_sentence, random.Random(seed), seed)
+
+
+class TestThreadsOnlyForLlm:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_only_llm_starts_a_thread_pool(self, lexicon, monkeypatch, method):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        sentences = fleet(30, lexicon, with_entity=True)
+        config = AugmentConfig(target_class="CLA", n_samples=20, method=method,
+                               master_seed=6)
+        client = MockLlmClient(reply="Not so.")
+        serial = augment_minority(sentences, config, llm_client=client, workers=1)
+        monkeypatch.setattr(aug, "ThreadPoolExecutor", no_pool)
+        if method is Method.LLM:
+            with pytest.raises(AssertionError, match="thread pool"):
+                augment_minority(sentences, config, llm_client=client, workers=4)
+        else:
+            assert augment_minority(sentences, config, llm_client=client, workers=4) == serial

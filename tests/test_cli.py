@@ -1,5 +1,7 @@
 import json
 import os
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -198,6 +200,25 @@ class TestAugmentCommand:
         assert code == 2
         assert "llm augmentation needs a client (--offline or --llm-endpoint)" in err
         assert not out.exists()
+
+    def test_llm_endpoint_4xx_exits_2_after_one_request(self, fixture_dir, tmp_path, capsys,
+                                                        monkeypatch):
+        requests = []
+
+        def refuse(request, timeout):
+            requests.append(request.full_url)
+            raise urllib.error.HTTPError(request.full_url, 401, "Unauthorized", {}, None)
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "llm", "--target-class", "CLA", "--n-samples", "2",
+                           "--seed", "1", "--out", str(tmp_path / "llm"),
+                           "--llm-endpoint", "http://llm.invalid/complete")
+        assert code == 2
+        assert "HTTP 401 Unauthorized" in err
+        assert requests == ["http://llm.invalid/complete"]
 
     def test_llm_with_several_copies_exits_2(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "llm"
@@ -529,6 +550,45 @@ class TestConfigCheck:
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("model,line,reader", [
+        ("crf", "dim = 8", "textclf"),
+        ("crf", "embeddings = vectors.txt", "textclf"),
+        ("crf", "epsilon = 0.01", "textclf"),
+        ("crf", "adv_weight = 0.5", "textclf"),
+        ("textclf", "decay = 0.1", "crf"),
+        ("textclf", "l2 = 0.01", "crf"),
+    ])
+    def test_key_of_the_other_model_rejected(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                             monkeypatch, model, line, reader):
+        key = line.split(" = ")[0]
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model)
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert (f"config key {key!r} is read only by model = {reader}, "
+                f"not by model = {model}") in err
+        command = "train-crf" if model == "crf" else "train-clf"
+        code, _, err = run(capsys, command, "--config", config)
+        assert code == 2
+        assert f"config key {key!r} is read only by model = {reader}, not by {command}" in err
+
+    def test_default_model_is_textclf_for_the_key_check(self, tmp_path, fixture_dir,
+                                                        dev_dir, capsys):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf")
+        with open(config, encoding="utf-8") as f:
+            lines = [line for line in f if not line.startswith("model =")]
+        with open(config, "w", encoding="utf-8") as f:
+            f.writelines(lines + ["decay = 0.1\n"])
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert "not by model = textclf" in err
 
     @pytest.mark.parametrize("command", ["train-crf", "train-clf"])
     def test_train_rejects_misspelt_key(self, tmp_path, fixture_dir, capsys, command):

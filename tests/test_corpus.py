@@ -1,7 +1,11 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from claimaug import corpus, morph
 from claimaug.corpus import (
     Dataset,
     Document,
@@ -96,8 +100,9 @@ class TestTokenLabelFile:
         assert len(dataset.documents) == 2
 
 
-TOKENS = st.text(alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
-                 min_size=1, max_size=6)
+# Any character but whitespace (line breaks included) and lone surrogates.
+TOKENS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)).filter(
+    lambda c: not c.isspace()), min_size=1, max_size=6)
 BLOCKS = st.lists(st.lists(st.tuples(TOKENS, st.sampled_from(("O", "CLA", "QUE"))),
                            min_size=1, max_size=8), max_size=5)
 
@@ -110,6 +115,52 @@ def test_serialize_then_parse_round_trips(blocks):
                  for i, block in enumerate(blocks)]
     parsed = parse_token_label_file(serialize_token_label_file(documents), schema)
     assert parsed.documents == tuple(documents)
+
+
+# Whitespace that does not end a line, so the token stays on its line; a tab
+# would add a field instead.
+INNER_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1))
+                    if c.isspace() and c != "\t" and len(f"a{c}b".splitlines()) == 1]
+
+
+@given(BLOCKS, st.data())
+def test_whitespace_in_a_token_is_reported_at_its_line(blocks, data):
+    rows = [row for block in blocks for row in block]
+    if not rows:
+        return
+    bad = data.draw(st.integers(0, len(rows) - 1))
+    space = data.draw(st.sampled_from(INNER_WHITESPACE))
+    at = data.draw(st.integers(0, len(rows[bad][0])))
+    documents, lines, line_of, n = [], 0, {}, 0
+    for i, block in enumerate(blocks):
+        texts = []
+        for token, _ in block:
+            line_of[n] = lines + len(texts) + 1
+            texts.append(token[:at] + space + token[at:] if n == bad else token)
+            n += 1
+        documents.append(Document(id=f"d{i}", texts=texts, token_labels=[l for _, l in block]))
+        lines += len(block) + 1
+    schema = LabelSchema(outside_label="O", categories=("CLA", "QUE"))
+    with pytest.raises(ParseError) as exc:
+        parse_token_label_file(serialize_token_label_file(documents), schema)
+    assert exc.value.line == line_of[bad]
+    assert str(exc.value).startswith(f"line {line_of[bad]}: bad token text ")
+
+
+def test_whitespace_search_agrees_with_isspace_on_every_code_point():
+    # The token-label parser and the verb lexicon loader both test for
+    # whitespace with one `\s` search instead of `str.isspace` per character.
+    assert corpus._WHITESPACE.pattern == morph._WHITESPACE.pattern == r"\s"
+    search = re.compile(r"\s").search
+    disagree = [hex(cp) for cp in range(sys.maxunicode + 1)
+                if (search(chr(cp)) is not None) != chr(cp).isspace()]
+    assert disagree == []
+
+
+def test_dataset_names_the_first_unknown_label(schema):
+    with pytest.raises(SchemaError, match="unknown label 'BOGUS'"):
+        Dataset(schema=schema, documents=[make_doc(["a", "b"], ["O", "CLA"]),
+                                          make_doc(["c", "d"], ["QUE", "BOGUS"], "d1")])
 
 
 class TestDatasetStats:

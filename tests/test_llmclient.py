@@ -1,10 +1,14 @@
+import io
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from claimaug.errors import LlmTransportError
+from claimaug.augment import llm_contradict
+from claimaug.errors import ConfigurationError, LlmTransportError
 from claimaug.llmclient import EchoLlmClient, HttpLlmClient
 from conftest import MockLlmClient
 
@@ -76,6 +80,67 @@ class TestHttpClient:
         client = HttpLlmClient("http://127.0.0.1:1/nothing", timeout=0.2)
         with pytest.raises(LlmTransportError):
             client.complete("x")
+
+
+class _Reply:
+    """What `urlopen` returns: a context manager with a readable body."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self):
+        return io.BytesIO(self.body)
+
+    def __exit__(self, *exc):
+        return False
+
+
+def scripted_urlopen(monkeypatch, *outcomes):
+    """Replace `urlopen`: each call takes the next outcome, an exception or a reply body."""
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(request.full_url)
+        outcome = outcomes[min(len(calls), len(outcomes)) - 1]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return _Reply(outcome)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return calls
+
+
+def http_error(code: int) -> urllib.error.HTTPError:
+    return urllib.error.HTTPError("http://llm.invalid/complete", code, f"status {code}",
+                                  {}, None)
+
+
+class TestRetryOnlyTransientErrors:
+    ENDPOINT = "http://llm.invalid/complete"
+
+    @pytest.mark.parametrize("code", [400, 401, 403, 404, 429])
+    def test_4xx_is_a_configuration_error_and_not_retried(self, monkeypatch, code):
+        calls = scripted_urlopen(monkeypatch, http_error(code))
+        with pytest.raises(ConfigurationError) as exc:
+            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3)
+        assert f"HTTP {code}" in str(exc.value)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("error", [
+        http_error(500), http_error(503), urllib.error.URLError("connection refused"),
+        TimeoutError("timed out"), ConnectionResetError("reset by peer"),
+    ])
+    def test_transient_errors_are_retried(self, monkeypatch, error):
+        calls = scripted_urlopen(monkeypatch, error, error, b'{"completion": "Not so."}')
+        client = HttpLlmClient(self.ENDPOINT)
+        assert llm_contradict("Tea helps.", client, 1, retries=3) == "Not so."
+        assert len(calls) == 3
+
+    def test_transient_errors_exhaust_the_retries(self, monkeypatch):
+        calls = scripted_urlopen(monkeypatch, http_error(502))
+        with pytest.raises(LlmTransportError):
+            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3)
+        assert len(calls) == 3
 
 
 class TestOfflineClients:

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from claimaug.corpus import Document
 from claimaug.errors import ValidationError
@@ -57,16 +60,22 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split_sentences(doc, schema)
 
-    def test_token_conservation_random_docs(self, schema, lexicon):
-        # No token lost, duplicated, or reordered, over many random documents.
-        rng = random.Random(7)
-        vocabulary = ["word", "Dr", ".", "!", "?", "etc", "gut", "IBS", "a.m", "Mr."]
-        for _ in range(300):
-            texts = [rng.choice(vocabulary) for _ in range(rng.randint(1, 40))]
-            doc = make_doc(texts)
-            sentences = split_sentences(doc, schema)
-            rejoined = [t for s in sentences for t in s.texts]
-            assert tuple(rejoined) == doc.texts
+    @given(st.lists(st.tuples(
+        st.sampled_from(["word", "Dr", ".", "!", "?", "etc", "gut", "IBS", "a.m", "Mr.",
+                         "e.g.", "ok!", "?!", "no."]),
+        st.sampled_from(["O", "CLA", "EXP", "PER", "QUE"])), min_size=1, max_size=40))
+    def test_token_conservation_random_docs(self, schema, rows):
+        # No token lost, duplicated, or reordered; every sentence but the last
+        # ends at terminal punctuation and carries its majority label.
+        doc = make_doc([t for t, _ in rows], [l for _, l in rows])
+        sentences = split_sentences(doc, schema)
+        assert tuple(t for s in sentences for t in s.texts) == doc.texts
+        assert tuple(l for s in sentences for l in s.token_labels) == doc.token_labels
+        assert [s.sent_index for s in sentences] == list(range(len(sentences)))
+        for sentence in sentences:
+            assert sentence.sentence_label == majority_label(sentence.token_labels, schema)
+        for sentence in sentences[:-1]:
+            assert sentence.texts[-1][-1] in ".!?"
 
     def test_abbreviation_list_read_once(self, schema):
         default_abbreviations.cache_clear()
@@ -118,6 +127,16 @@ class TestMajority:
         for _ in range(50):
             rng.shuffle(labels)
             assert majority_label(labels, schema) == expected
+
+    @given(st.lists(st.sampled_from(["O", "CLA", "EXP", "PER", "QUE"]), min_size=1,
+                    max_size=12), st.booleans())
+    def test_matches_the_full_count(self, schema, labels, with_freq):
+        schema = schema if with_freq else schema.with_train_freq({})
+        counts = Counter(labels)
+        best = max(counts.values())
+        expected = min((l for l, c in counts.items() if c == best),
+                       key=lambda l: (schema.freq(l), schema.tie_order(l)))
+        assert majority_label(labels, schema) == expected
 
     def test_empty_rejected(self, schema):
         with pytest.raises(ValidationError):
