@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -469,7 +470,8 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
     are still needed, so the result and the operator calls made are the
     same for any worker count. Only `llm` trials, which wait on the client,
     run on `workers` threads; the other operators are CPU-bound and run in
-    the calling thread.
+    the calling thread. Once a trial raises, no further trial starts, so an
+    endpoint that refuses requests sees at most `workers` of them.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -481,8 +483,13 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
                   ).shuffle(order)
     operator = _make_operator(sentences, config, entities, llm_client)
     n_available = len(order)
+    # Set by the first trial that raises. The error ends the run, so queued
+    # trials return at once instead of sending requests nobody will read.
+    stopped = threading.Event()
 
     def run_trial(trial: int) -> list[AugmentedSample] | None:
+        if stopped.is_set():
+            return None
         source = order[trial % n_available]
         cycle = trial // n_available
         samples = []
@@ -493,6 +500,9 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
                 sample = operator(source, random.Random(seed), seed, trial)
             except AugmentationFailed:
                 return None
+            except BaseException:
+                stopped.set()
+                raise
             if sample is None:
                 return None
             samples.append(sample)

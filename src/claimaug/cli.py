@@ -231,6 +231,12 @@ CONFIG_KEYS = frozenset({
 # cannot pass for a setting.
 _MODEL_KEYS = {"crf": ("decay", "l2"), "textclf": ("dim", "epsilon", "adv_weight", "embeddings")}
 _COMMAND_MODEL = {"train-crf": "crf", "train-clf": "textclf"}
+# Keys only run-experiment reads, and the one key only train-crf and train-clf read.
+_EXPERIMENT_KEYS = frozenset({"dev", "outdir", "entities", "offline", "llm.endpoint"}
+                             | {key for key in CONFIG_KEYS if key.startswith("augment.")})
+_TRAIN_KEYS = frozenset({"model_out"})
+# Keys only one augment method reads.
+_METHOD_KEYS = {"entities": "er", "offline": "llm", "llm.endpoint": "llm"}
 
 
 def _check_config(config: dict[str, str], command: str) -> None:
@@ -249,6 +255,12 @@ def _check_config(config: dict[str, str], command: str) -> None:
                 where = command if command in _COMMAND_MODEL else f"model = {model}"
                 raise ConfigurationError(
                     f"config key {key!r} is read only by model = {other}, not by {where}")
+    training = command in _COMMAND_MODEL
+    for key in config:
+        if key in (_EXPERIMENT_KEYS if training else _TRAIN_KEYS):
+            readers = "run-experiment" if training else "train-crf and train-clf"
+            raise ConfigurationError(
+                f"config key {key!r} is read only by {readers}, not by {command}")
     need_dev = command == "run-experiment"
     for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
         if key not in config:
@@ -263,6 +275,10 @@ def _check_config(config: dict[str, str], command: str) -> None:
     if method not in (None, "none", *methods):
         raise ConfigurationError(f"unknown augment.method {method!r} "
                                  f"(use none, {', '.join(methods)})")
+    for key, reader in _METHOD_KEYS.items():
+        if key in config and method != reader:
+            raise ConfigurationError(f"config key {key!r} is read only by augment.method = "
+                                     f"{reader}, not by augment.method = {method or 'none'}")
     if method == aug.Method.LLM.value and not (config.get("offline") == "true"
                                                or "llm.endpoint" in config):
         raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")

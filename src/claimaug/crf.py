@@ -10,6 +10,7 @@ so scores are exactly reproducible. All dynamic programming is in log space.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,7 +40,11 @@ _BOUNDARY = (BOS,) * len(_TEMPLATES)
 
 
 def extract_features(texts: Sequence[str]) -> list[list[str]]:
-    """Feature strings for each position: unigrams plus previous-token bigrams."""
+    """Feature strings for each position: unigrams plus previous-token bigrams.
+
+    This is the definition of the features; `CrfModel.build` and
+    `_feature_ids` give the ids of exactly these strings without listing them.
+    """
     out = []
     previous = _BOUNDARY
     for token in texts:
@@ -57,8 +62,11 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights. `_token_memo` caches each token's template values
-    and unigram feature ids for `_feature_ids`; it is never serialized.
+    L*L transition weights. Two memos are never serialized: `_token_memo`
+    holds each token's template values and unigram feature ids for
+    `_feature_ids`, and `_sequence_ids` holds the feature-id array of each
+    token sequence `build` saw, keyed by `tuple(texts)`, until `train` has
+    compiled it.
     """
 
     labels: tuple[str, ...]
@@ -67,19 +75,43 @@ class CrfModel:
     l2: float = 0.0
     _token_memo: dict[str, tuple[tuple[str, ...], list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _sequence_ids: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, labels: Sequence[str], token_seqs: Sequence[Sequence[str]],
               l2: float = 0.0) -> "CrfModel":
-        index: dict[str, int] = {}
+        """A zero-weight model over the features of `token_seqs`, in one pass.
+
+        Ids follow first appearance in `extract_features` order: position by
+        position, a position's unigrams and then its bigrams, each in
+        `_TEMPLATES` order. A token's unigram strings are formatted once.
+        """
+        model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0), l2=l2)
+        index = model.feature_index
+        add = index.setdefault
+        memo = model._token_memo
+        sequence_ids = model._sequence_ids
         for texts in token_seqs:
-            for feats in extract_features(texts):
-                for feat in feats:
-                    if feat not in index:
-                        index[feat] = len(index)
-        n = len(index) * len(labels) + len(labels) ** 2
-        return cls(labels=tuple(labels), feature_index=index,
-                   weights=np.zeros(n, dtype=np.float64), l2=l2)
+            key = tuple(texts)
+            if key in sequence_ids:
+                continue
+            rows = []
+            previous = _BOUNDARY
+            for token in key:
+                entry = memo.get(token)
+                if entry is None:
+                    values = _values(token)
+                    entry = memo[token] = (values, [add(f"{name}={value}", len(index))
+                                                    for name, value in zip(_TEMPLATES, values)])
+                current, unigram_ids = entry
+                rows.append(unigram_ids + [add(f"b{name}={prev}|{value}", len(index))
+                                           for name, prev, value
+                                           in zip(_TEMPLATES, previous, current)])
+                previous = current
+            sequence_ids[key] = np.array(rows, dtype=np.int32)
+        model.weights = np.zeros(len(index) * model.n_labels + model.n_labels ** 2)
+        return model
 
     @property
     def n_labels(self) -> int:
@@ -154,34 +186,76 @@ class TrainConfig:
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log sum exp over the last axis, stable in log space."""
-    m = a.max(axis=-1)
-    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    m = np.maximum.reduce(a, axis=-1)
+    return m + np.log(np.add.reduce(np.exp(a - m[..., None]), axis=-1))
 
 
 def _forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Forward log scores for emissions [..., n, L]: one sentence or a batch of equal length."""
+    """Forward log scores for emissions [n, L] of one sentence or [B, n, L] of B of equal length.
+
+    Every position reuses the same buffers, passed as the ufuncs' positional
+    `out`. `scores[a, ..., b]` scores the move from label a to label b, so
+    the sum over a runs over axis 0, which numpy adds row by row, and for a
+    batch the rest of the buffer is one contiguous block. Summing over a
+    contiguous axis instead would add pairwise and round differently once
+    L >= 8.
+    """
+    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
+    maximum, total_of = np.maximum.reduce, np.add.reduce
+    n_labels = transitions.shape[0]
+    batch = emissions.shape[:-2]
     alpha = np.empty_like(emissions)
-    alpha[..., 0, :] = emissions[..., 0, :]
-    for i in range(1, emissions.shape[-2]):
-        a = alpha[..., i - 1, :, None] + transitions
-        m = a.max(axis=-2)
-        alpha[..., i, :] = m + np.log(np.exp(a - m[..., None, :]).sum(axis=-2)) + emissions[..., i, :]
+    # Position-major views: `positions` is [n, ..., L], `columns` holds each
+    # position's scores as [L, ..., 1].
+    positions = alpha.swapaxes(-2, 0)
+    columns = alpha.T.swapaxes(0, 1)[..., None]
+    by_position = emissions.swapaxes(-2, 0)
+    positions[0] = by_position[0]
+    moves = transitions.reshape((n_labels,) + (1,) * len(batch) + (n_labels,))
+    scores = np.empty((n_labels,) + batch + (n_labels,))
+    m = np.empty(batch + (n_labels,))
+    total = np.empty_like(m)
+    for previous, emission, out in zip(columns, by_position[1:], positions[1:]):
+        add(previous, moves, scores)
+        maximum(scores, 0, None, m)
+        subtract(scores, m, scores)
+        exp(scores, scores)
+        total_of(scores, 0, None, total)
+        log(total, total)
+        add(m, total, total)
+        add(total, emission, out)
     return alpha
 
 
 def _backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """Backward log scores of one sentence's emissions [n, L], reusing buffers like `_forward`.
+
+    The sum runs over axis 1, the contiguous one, as it always has.
+    """
+    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
+    maximum, total_of = np.maximum.reduce, np.add.reduce
     beta = np.zeros_like(emissions)
-    for i in range(len(emissions) - 2, -1, -1):
-        a = transitions + (emissions[i + 1] + beta[i + 1])
-        m = a.max(axis=1)
-        beta[i] = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    scores = np.empty_like(transitions)
+    ahead = np.empty_like(emissions[0])
+    m = np.empty_like(ahead)
+    m_column = m[:, None]
+    # Position i reads emissions[i + 1] and beta[i + 1] and writes beta[i], for i = n-2 .. 0.
+    for emission, following, out in zip(emissions[:0:-1], beta[:0:-1], beta[-2::-1]):
+        add(emission, following, ahead)
+        add(transitions, ahead, scores)
+        maximum(scores, 1, None, m)
+        subtract(scores, m_column, scores)
+        exp(scores, scores)
+        total_of(scores, 1, None, out)
+        log(out, out)
+        add(m, out, out)
     return beta
 
 
 def _gold_score(emissions: np.ndarray, transitions: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Score of the label path y [..., n] under emissions [..., n, L]."""
-    unary = np.take_along_axis(emissions, y[..., None], axis=-1)[..., 0].sum(axis=-1)
-    return unary + transitions[y[..., :-1], y[..., 1:]].sum(axis=-1)
+    unary = emissions.reshape(-1, emissions.shape[-1])[np.arange(y.size), y.ravel()]
+    return unary.reshape(y.shape).sum(axis=-1) + transitions[y[..., :-1], y[..., 1:]].sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -222,14 +296,19 @@ def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
 
 def _compile(model: CrfModel,
              data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
-    """Map each (texts, labels) pair to feature-id and label-id arrays, once."""
+    """Map each (texts, labels) pair to feature-id and label-id arrays, once.
+
+    A sequence that `build` already mapped takes its ids from the model's memo.
+    """
+    known = model._sequence_ids
     feature_ids, label_ids = [], []
     for k, (texts, labels) in enumerate(data):
         if len(texts) != len(labels):
             raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
         if not texts:
             raise ValidationError(f"sequence {k} is empty")
-        feature_ids.append(_feature_ids(model, texts))
+        ids = known.get(tuple(texts))
+        feature_ids.append(_feature_ids(model, texts) if ids is None else ids)
         label_ids.append(np.array(model.label_ids(labels), dtype=np.intp))
     return _Compiled(feature_ids, label_ids)
 
@@ -264,7 +343,8 @@ def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     return np.exp(alpha + beta - log_z)
 
 
-def _sentence_gradient(model: CrfModel, ids: np.ndarray, y: np.ndarray
+def _sentence_gradient(emission_weights: np.ndarray, transitions: np.ndarray, l2: float,
+                       ids: np.ndarray, y: np.ndarray
                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """NLL of one compiled sentence, without the L2 term, and its gradient.
 
@@ -275,9 +355,14 @@ def _sentence_gradient(model: CrfModel, ids: np.ndarray, y: np.ndarray
     by position, in sentence order: per-sentence SGD amplifies rounding, so
     another summation order would train a different model.
     """
-    weights = model.emission_weights
-    transitions = model.transitions
-    emissions = _emissions(weights, ids)
+    rows, local = np.unique(ids, return_inverse=True)
+    local = local.reshape(ids.shape)
+    table = emission_weights[rows]
+    emission_grad = l2 * table
+    first = 1 if rows[0] < 0 else 0  # id -1 stands for features the model lacks
+    if first:
+        table[0] = 0.0
+    emissions = table[local].sum(axis=-2)
     alpha = _forward(emissions, transitions)
     beta = _backward(emissions, transitions)
     log_z = _logsumexp(alpha[-1])
@@ -285,17 +370,22 @@ def _sentence_gradient(model: CrfModel, ids: np.ndarray, y: np.ndarray
 
     unary = np.exp(alpha + beta - log_z)
     unary[np.arange(len(y)), y] -= 1.0
-    rows, local = np.unique(ids, return_inverse=True)
-    emission_grad = model.l2 * weights[rows]
-    np.add.at(emission_grad, local.reshape(ids.shape), unary[:, None, :])
-    first = 1 if rows[0] < 0 else 0  # id -1 stands for features the model lacks
+    np.add.at(emission_grad, local, unary[:, None, :])
 
-    pairwise = np.exp(alpha[:-1, :, None] + transitions
-                      + (emissions[1:] + beta[1:])[:, None, :] - log_z)
-    transition_grad = model.l2 * transitions
-    for i in range(1, len(y)):
-        transition_grad += pairwise[i - 1]
-        transition_grad[y[i - 1], y[i]] -= 1.0
+    # transition_grad = l2*T + p_0 + g_0 + p_1 + g_1 + ..., added left to right,
+    # where p_i are the pairwise marginals of positions (i, i+1) and g_i is
+    # -1 at the gold pair and -0.0 elsewhere (x + -0.0 == x for every x).
+    # `accumulate` adds strictly in order; `reduce` would add pairwise when
+    # L = 1 leaves the stack one-dimensional.
+    pairwise = alpha[:-1, :, None] + transitions
+    pairwise += (emissions[1:] + beta[1:])[:, None, :]
+    pairwise -= log_z
+    np.exp(pairwise, out=pairwise)
+    terms = np.full((2 * len(y) - 1,) + transitions.shape, -0.0)
+    np.multiply(l2, transitions, out=terms[0])
+    terms[1::2] = pairwise
+    terms[2::2][np.arange(len(y) - 1), y[:-1], y[1:]] = -1.0
+    transition_grad = np.add.accumulate(terms, axis=0)[-1]
     return nll, rows[first:], emission_grad[first:], transition_grad
 
 
@@ -316,7 +406,8 @@ def nll_and_gradient(model: CrfModel, texts: Sequence[str],
     empirical counts, plus l2 * weights.
     """
     compiled = _compile(model, [(texts, gold_labels)])
-    nll, *sparse = _sentence_gradient(model, compiled.feature_ids[0], compiled.label_ids[0])
+    nll, *sparse = _sentence_gradient(model.emission_weights, model.transitions, model.l2,
+                                      compiled.feature_ids[0], compiled.label_ids[0])
     nll += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
     return nll, _dense_gradient(model, *sparse)
 
@@ -375,8 +466,8 @@ def dataset_nll(model: CrfModel,
     transitions = model.transitions
     total = 0.0
     for members in by_length.values():
-        emissions = _emissions(weights, np.stack([data.feature_ids[k] for k in members]))
-        y = np.stack([data.label_ids[k] for k in members])
+        emissions = _emissions(weights, np.array([data.feature_ids[k] for k in members]))
+        y = np.array([data.label_ids[k] for k in members])
         log_z = _logsumexp(_forward(emissions, transitions)[:, -1])
         total += float(np.sum(log_z - _gold_score(emissions, transitions, y)))
     return total + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
@@ -387,13 +478,15 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     """Per-sequence SGD with a 1/(1 + decay*t) learning-rate schedule.
 
     Mutates the model in place (single-threaded) and returns the full-dataset
-    NLL before training and after each epoch. The data is compiled once; with
-    l2 = 0 a step updates only the sequence's feature rows and the
-    transitions, the only weights with a nonzero gradient.
+    NLL before training and after each epoch. The data is compiled once,
+    which empties the model's per-sequence id memo; with l2 = 0 a step
+    updates only the sequence's feature rows and the transitions, the only
+    weights with a nonzero gradient.
     """
     if not data:
         raise ValidationError("empty training set")
     compiled = _compile(model, data)
+    model._sequence_ids.clear()
     rng = random.Random(config.seed)
     order = list(range(len(data)))
     history = [dataset_nll(model, compiled)]
@@ -404,8 +497,9 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
         rng.shuffle(order)
         for idx in order:
             nll, rows, emission_grad, transition_grad = _sentence_gradient(
-                model, compiled.feature_ids[idx], compiled.label_ids[idx])
-            if not np.isfinite(nll):
+                emission_weights, transitions, model.l2,
+                compiled.feature_ids[idx], compiled.label_ids[idx])
+            if not math.isfinite(nll):
                 raise TrainingDiverged(
                     f"NLL became non-finite at epoch {epoch}, step {step} "
                     f"(lr={config.learning_rate}, decay={config.decay})")

@@ -85,8 +85,11 @@ def embed_sentence(texts: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     """Mean of token embedding rows; OOV row for unknowns, zeros when empty."""
     if not texts:
         return np.zeros(table.dim)
-    rows = [table.matrix[table.vocab[t]] if t in table.vocab else table.oov for t in texts]
-    return np.mean(rows, axis=0)
+    ids = np.array([table.vocab.get(t, -1) for t in texts], dtype=np.intp)
+    # Id -1 reads the last row (an empty vocabulary has none); the OOV row replaces it.
+    rows = table.matrix[ids] if table.vocab else np.empty((len(ids), table.dim))
+    rows[ids < 0] = table.oov
+    return rows.mean(axis=0)
 
 
 def fgsm_perturb(embedding: np.ndarray, loss_gradient: np.ndarray,

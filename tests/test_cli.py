@@ -1,5 +1,6 @@
 import json
 import os
+import time
 import urllib.error
 import urllib.request
 
@@ -219,6 +220,28 @@ class TestAugmentCommand:
         assert code == 2
         assert "HTTP 401 Unauthorized" in err
         assert requests == ["http://llm.invalid/complete"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_llm_endpoint_4xx_stops_queued_requests(self, fixture_dir, tmp_path, capsys,
+                                                    monkeypatch, workers):
+        requests = []
+
+        def refuse(request, timeout):
+            requests.append(request.full_url)
+            time.sleep(0.02)  # every worker takes a trial before the first refusal lands
+            raise urllib.error.HTTPError(request.full_url, 401, "Unauthorized", {}, None)
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "llm", "--target-class", "CLA", "--n-samples", "12",
+                           "--seed", "1", "--out", str(tmp_path / "llm"),
+                           "--workers", str(workers),
+                           "--llm-endpoint", "http://llm.invalid/complete")
+        assert code == 2
+        assert "HTTP 401 Unauthorized" in err
+        assert 1 <= len(requests) <= workers
 
     def test_llm_with_several_copies_exits_2(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "llm"
@@ -589,6 +612,58 @@ class TestConfigCheck:
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert "not by model = textclf" in err
+
+    @pytest.mark.parametrize("command", ["train-crf", "train-clf"])
+    @pytest.mark.parametrize("key", ["dev", "outdir", "augment.method", "augment.target_class",
+                                     "augment.n_samples", "augment.per_sentence", "entities",
+                                     "offline", "llm.endpoint"])
+    def test_train_rejects_experiment_key(self, tmp_path, fixture_dir, capsys, monkeypatch,
+                                          command, key):
+        config = tmp_path / "train.cfg"
+        corpus = os.path.join(fixture_dir, "corpus.tsv")
+        config.write_text("\n".join([
+            f"train = {corpus}", f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", f"{key} = {corpus}",
+        ]) + "\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert f"config key {key!r} is read only by run-experiment, not by {command}" in err
+
+    def test_run_experiment_rejects_model_out(self, tmp_path, fixture_dir, dev_dir, capsys):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"model_out = {tmp_path / 'model.json'}\n")
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert ("config key 'model_out' is read only by train-crf and train-clf, "
+                "not by run-experiment") in err
+
+    @pytest.mark.parametrize("key,reader,method", [
+        (key, reader, method)
+        for key, reader in (("entities", "er"), ("offline", "llm"), ("llm.endpoint", "llm"))
+        for method in ("none", "aeda", "vr-random", "vr-antonym", "er", "llm")
+        if method != reader])
+    def test_key_of_another_augment_method_rejected(self, tmp_path, fixture_dir, dev_dir,
+                                                    capsys, monkeypatch, key, reader, method):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf", method)
+        value = {"entities": os.path.join(fixture_dir, "corpus.tsv"), "offline": "true",
+                 "llm.endpoint": "http://llm.invalid/complete"}[key]
+        with open(config, "a", encoding="utf-8") as f:
+            f.write(f"{key} = {value}\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert (f"config key {key!r} is read only by augment.method = {reader}, "
+                f"not by augment.method = {method}") in err
 
     @pytest.mark.parametrize("command", ["train-crf", "train-clf"])
     def test_train_rejects_misspelt_key(self, tmp_path, fixture_dir, capsys, command):

@@ -21,8 +21,11 @@ from claimaug.crf import (
     sequence_score,
     train,
     viterbi,
+    _backward,
     _emissions,
     _feature_ids,
+    _forward,
+    _sentence_gradient,
 )
 from claimaug.errors import TrainingDiverged, ValidationError
 from claimaug.senttok import split_sentences
@@ -252,7 +255,9 @@ class TestFeatureIds:
     def test_match_extract_features(self, seen, queries):
         model = CrfModel.build(["A", "B"], seen)
         index = model.feature_index
-        assert model._token_memo == {}
+        # `build` fills the memo for the tokens it saw; queries add their own.
+        seen_tokens = {t for texts in seen for t in texts}
+        assert set(model._token_memo) == seen_tokens
         for memo in ("cold", "warm"):  # the first pass fills the memo, the second reads it
             for texts in queries:
                 expected = [[index.get(f, -1) for f in feats]
@@ -260,20 +265,28 @@ class TestFeatureIds:
                 ids = _feature_ids(model, texts)
                 assert ids.dtype == np.int32
                 assert ids.tolist() == expected
-            assert set(model._token_memo) == {t for texts in queries for t in texts}
+            assert set(model._token_memo) == seen_tokens | {t for texts in queries for t in texts}
 
     def test_memo_is_not_serialized(self, tmp_path):
         model = CrfModel.build(["A", "B"], [["Gut", "feels", "80", "%"]])
         before = json.dumps(model.to_dict())
         viterbi(model, ["Gut", "feels", "fine"])
-        assert set(model._token_memo) == {"Gut", "feels", "fine"}
+        assert set(model._token_memo) == {"Gut", "feels", "80", "%", "fine"}
+        assert list(model._sequence_ids) == [("Gut", "feels", "80", "%")]
         assert json.dumps(model.to_dict()) == before
         path = tmp_path / "model.json"
         model.save(str(path))
         assert path.read_text(encoding="utf-8") == before
         loaded = CrfModel.load(str(path))
-        assert loaded._token_memo == {}
-        assert "_token_memo" not in repr(loaded)
+        assert loaded._token_memo == {} and loaded._sequence_ids == {}
+        assert "_token_memo" not in repr(loaded) and "_sequence_ids" not in repr(loaded)
+
+    def test_train_empties_the_sequence_memo(self):
+        data = separable_data()
+        model = CrfModel.build(["A", "B"], [t for t, _ in data])
+        assert set(model._sequence_ids) == {tuple(t) for t, _ in data}
+        train(model, data, TrainConfig(epochs=1, seed=0))
+        assert model._sequence_ids == {}
 
 
 class TestViterbi:
@@ -482,6 +495,155 @@ class TestMatchesDenseReference:
             expected_nll, expected_grad = reference_nll_and_gradient(model, texts, gold)
             assert np.array_equal(grad, expected_grad)
             assert nll == pytest.approx(expected_nll, rel=1e-12)
+
+
+# Oracles: the build pass and the SGD step as they ran before `build` filled
+# the id memos and the step reused its buffers. The current code must match
+# them bit for bit.
+
+def oracle_build(labels, token_seqs, l2=0.0):
+    """`CrfModel.build` that lists every feature string of every position."""
+    index = {}
+    for texts in token_seqs:
+        for feats in extract_features(texts):
+            for feat in feats:
+                if feat not in index:
+                    index[feat] = len(index)
+    n = len(index) * len(labels) + len(labels) ** 2
+    return CrfModel(labels=tuple(labels), feature_index=index,
+                    weights=np.zeros(n, dtype=np.float64), l2=l2)
+
+
+def _oracle_logsumexp(a):
+    m = a.max(axis=-1)
+    return m + np.log(np.exp(a - m[..., None]).sum(axis=-1))
+
+
+def oracle_forward(emissions, transitions):
+    alpha = np.empty_like(emissions)
+    alpha[..., 0, :] = emissions[..., 0, :]
+    for i in range(1, emissions.shape[-2]):
+        a = alpha[..., i - 1, :, None] + transitions
+        m = a.max(axis=-2)
+        alpha[..., i, :] = (m + np.log(np.exp(a - m[..., None, :]).sum(axis=-2))
+                            + emissions[..., i, :])
+    return alpha
+
+
+def oracle_backward(emissions, transitions):
+    beta = np.zeros_like(emissions)
+    for i in range(len(emissions) - 2, -1, -1):
+        a = transitions + (emissions[i + 1] + beta[i + 1])
+        m = a.max(axis=1)
+        beta[i] = m + np.log(np.exp(a - m[:, None]).sum(axis=1))
+    return beta
+
+
+def oracle_sentence_gradient(model, ids, y):
+    """`(nll, rows, emission_grad, transition_grad)` of one compiled sentence."""
+    weights = model.emission_weights
+    transitions = model.transitions
+    gathered = weights[ids]
+    gathered[ids < 0] = 0.0
+    emissions = gathered.sum(axis=-2)
+    alpha = oracle_forward(emissions, transitions)
+    beta = oracle_backward(emissions, transitions)
+    log_z = _oracle_logsumexp(alpha[-1])
+    gold = np.take_along_axis(emissions, y[..., None], axis=-1)[..., 0].sum(axis=-1)
+    gold = gold + transitions[y[..., :-1], y[..., 1:]].sum(axis=-1)
+    nll = float(log_z - gold)
+
+    unary = np.exp(alpha + beta - log_z)
+    unary[np.arange(len(y)), y] -= 1.0
+    rows, local = np.unique(ids, return_inverse=True)
+    emission_grad = model.l2 * weights[rows]
+    np.add.at(emission_grad, local.reshape(ids.shape), unary[:, None, :])
+    first = 1 if rows[0] < 0 else 0
+
+    pairwise = np.exp(alpha[:-1, :, None] + transitions
+                      + (emissions[1:] + beta[1:])[:, None, :] - log_z)
+    transition_grad = model.l2 * transitions
+    for i in range(1, len(y)):
+        transition_grad += pairwise[i - 1]
+        transition_grad[y[i - 1], y[i]] -= 1.0
+    return nll, rows[first:], emission_grad[first:], transition_grad
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+# Tokens whose suffixes and shape flags collide, so features repeat across tokens.
+BUILD_TOKENS = TOKENS + ["Gut", "guts", "ut", "t", "IBSs", "1980"]
+
+
+@st.composite
+def step_instances(draw):
+    """A model with 1-9 labels and random weights, and a 1-12 token sentence to score.
+
+    The query draws from tokens the model never saw, so some ids are -1.
+    """
+    labels = [f"L{i}" for i in range(draw(st.integers(1, 9)))]
+    seen = draw(st.lists(st.lists(st.sampled_from(BUILD_TOKENS), min_size=1, max_size=6),
+                         min_size=1, max_size=3))
+    model = CrfModel.build(labels, seen, l2=draw(st.sampled_from([0.0, 0.1])))
+    weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    model.weights = weights_rng.normal(0.0, draw(st.sampled_from([0.5, 3.0])),
+                                       size=model.weights.shape)
+    texts = draw(st.lists(st.sampled_from(BUILD_TOKENS + ["unseen", "ZZ"]),
+                          min_size=1, max_size=12))
+    y = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(texts),
+                      max_size=len(texts)))
+    return model, texts, np.array(y, dtype=np.intp)
+
+
+class TestMatchesOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(step_instances())
+    def test_sentence_gradient(self, instance):
+        model, texts, y = instance
+        ids = _feature_ids(model, texts)
+        got = _sentence_gradient(model.emission_weights, model.transitions, model.l2, ids, y)
+        expected = oracle_sentence_gradient(model, ids, y)
+        assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
+        assert got[0] == expected[0]
+        for array, oracle in zip(got[1:], expected[1:]):
+            assert_same_bits(array, oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 12), st.integers(1, 4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_forward_and_backward(self, n_labels, n, batch, seed):
+        rng = np.random.default_rng(seed)
+        emissions = rng.normal(0.0, 3.0, size=(batch, n, n_labels))
+        transitions = rng.normal(0.0, 3.0, size=(n_labels, n_labels))
+        assert_same_bits(_forward(emissions, transitions), oracle_forward(emissions, transitions))
+        assert_same_bits(_forward(emissions[0], transitions),
+                         oracle_forward(emissions[0], transitions))
+        assert_same_bits(_backward(emissions[0], transitions),
+                         oracle_backward(emissions[0], transitions))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(BUILD_TOKENS), max_size=8), max_size=6),
+           st.integers(1, 5))
+    def test_build(self, seqs, n_labels):
+        labels = [f"L{i}" for i in range(n_labels)]
+        model = CrfModel.build(labels, seqs, l2=0.1)
+        expected = oracle_build(labels, seqs, l2=0.1)
+        assert list(model.feature_index.items()) == list(expected.feature_index.items())
+        assert_same_bits(model.weights, expected.weights)
+        assert (model.labels, model.l2) == (expected.labels, expected.l2)
+        for texts in seqs:
+            ids = [[expected.feature_index[f] for f in feats] for feats in extract_features(texts)]
+            assert model._sequence_ids[tuple(texts)].tolist() == ids
+
+    def test_build_on_fixture(self):
+        labels, data = fixture_data()
+        seqs = [texts for texts, _ in data]
+        model = CrfModel.build(labels, seqs)
+        expected = oracle_build(labels, seqs)
+        assert list(model.feature_index.items()) == list(expected.feature_index.items())
 
 
 @st.composite

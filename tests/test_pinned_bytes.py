@@ -52,6 +52,10 @@ PINNED = {
         "a45eb3d1cefacbc6e1cc1fb35e95b0a609a8a385f5d09872b5cb1480f13ed88f",
     "run-experiment/textclf-adv/report.json":
         "7b40913736823ed148e71dd9e6a338015324842f816084e6cb79956c5901b7af",
+    "train-crf/l2=0/model.json":
+        "11cd85e680dfde1d725badb27b74e90598732f43db0d67c6a9ca887ac6bb4b86",
+    "train-crf/l2=0.1/model.json":
+        "d6e2feeedd28dde074dcc9f3c765fd295c7deca706515a25e956d127475d1e6c",
     "train-clf/textclf-adv/model.json":
         "8ed4959ab9a22edf0e2780421b9b3edd897ca5a1010e95f12b8413eac9766e0e",
 }
@@ -60,6 +64,11 @@ PINNED = {
 def _sha256(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()
+
+
+def _write_config(path: str, lines: list[str]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def _run(*argv: str) -> None:
@@ -93,25 +102,36 @@ def produce_digests(work: str) -> dict[str, str]:
     # At 2 epochs the tiny fixture's report is the same with and without
     # adversarial training, so the adversarial run trains for 5.
     clean = ["epochs = 2", "learning_rate = 0.3"]
-    adversarial = ["epochs = 5", "epsilon = 0.01", "adv_weight = 0.5",
-                   f"model_out = {os.path.join(work, 'clf-adv.json')}"]
+    adversarial = ["epochs = 5", "epsilon = 0.01", "adv_weight = 0.5"]
     experiments = {"crf": ("crf", clean), "textclf": ("textclf", clean),
                    "textclf-adv": ("textclf", adversarial)}
     for name, (model, settings) in experiments.items():
         config = os.path.join(work, f"{name}.cfg")
         outdir = os.path.join(work, f"exp-{name}")
-        with open(config, "w", encoding="utf-8") as f:
-            f.write("\n".join([
-                f"train = {data}", f"dev = {os.path.join(dev, 'corpus.tsv')}",
-                f"schema = {schema}", f"model = {model}", "seed = 7", *settings,
-                "augment.method = vr-random", "augment.target_class = CLA",
-                "augment.n_samples = 10", f"outdir = {outdir}",
-            ]) + "\n")
+        _write_config(config, [
+            f"train = {data}", f"dev = {os.path.join(dev, 'corpus.tsv')}",
+            f"schema = {schema}", f"model = {model}", "seed = 7", *settings,
+            "augment.method = vr-random", "augment.target_class = CLA",
+            "augment.n_samples = 10", f"outdir = {outdir}",
+        ])
         _run("run-experiment", "--config", config)
         digests[f"run-experiment/{name}/report.json"] = _sha256(
             os.path.join(outdir, "report.json"))
-    _run("train-clf", "--config", os.path.join(work, "textclf-adv.cfg"))
-    digests["train-clf/textclf-adv/model.json"] = _sha256(os.path.join(work, "clf-adv.json"))
+
+    # The train-* commands read no dev set and no augment keys, so each gets
+    # a config of its own.
+    trainers = {
+        "train-crf/l2=0": ("train-crf", ["epochs = 3", "l2 = 0"]),
+        "train-crf/l2=0.1": ("train-crf", ["epochs = 3", "l2 = 0.1"]),
+        "train-clf/textclf-adv": ("train-clf", adversarial),
+    }
+    for name, (command, settings) in trainers.items():
+        stem = os.path.join(work, name.replace("/", "-"))
+        config, model_out = f"{stem}.cfg", f"{stem}.json"
+        _write_config(config, [f"train = {data}", f"schema = {schema}", "seed = 7",
+                               *settings, f"model_out = {model_out}"])
+        _run(command, "--config", config)
+        digests[f"{name}/model.json"] = _sha256(model_out)
     return digests
 
 

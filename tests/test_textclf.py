@@ -56,6 +56,18 @@ class TestEmbedding:
         b = EmbeddingTable.random(["x", "y"], dim=8, seed=5)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from("abcde"), max_size=4, unique=True),
+           st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=12),
+           st.integers(1, 9), st.integers(0, 2 ** 31))
+    def test_matches_mean_of_row_list(self, vocabulary, texts, dim, seed):
+        # The oracle is the earlier implementation: a list of row views, then np.mean.
+        table = EmbeddingTable.random(vocabulary, dim=dim, seed=seed)
+        rows = [table.matrix[table.vocab[t]] if t in table.vocab else table.oov for t in texts]
+        expected = np.mean(rows, axis=0)
+        got = embed_sentence(texts, table)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 class TestFgsm:
     def test_epsilon_zero_identity(self):
