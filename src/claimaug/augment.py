@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -367,20 +368,35 @@ def entity_replace(sentence: LabeledSentence, annotator: EntityAnnotator,
     )
 
 
+# Pause before the k-th retry (k = 0, 1, ...): half of
+# min(LLM_BACKOFF_CAP_S, LLM_BACKOFF_BASE_S * 2**k), plus a jitter of up to
+# the other half, so the pauses of one call add up to at most
+# (retries - 1) * LLM_BACKOFF_CAP_S.
+LLM_BACKOFF_BASE_S = 0.5
+LLM_BACKOFF_CAP_S = 4.0
+
+
 def llm_contradict(sentence_text: str, client: LlmClient, prompt_variant: int,
-                   retries: int = 3) -> str:
+                   retries: int = 3, *, seed: int = 0,
+                   sleep: Callable[[float], object] = time.sleep) -> str:
     """Ask the client to contradict the sentence using one of the two prompts.
 
-    Transport errors (timeouts, connection errors, 5xx) are retried up to
-    `retries` times, then re-raised; any other error, such as the
-    ConfigurationError of an HTTP 4xx answer, ends the call at once. An empty
-    completion raises AugmentationFailed.
+    The client is tried up to `retries` times. Transport errors (timeouts,
+    connection errors, 5xx) are retried after an exponential backoff whose
+    jitter comes from `random.Random(seed)`, then re-raised; any other
+    error, such as the ConfigurationError of an HTTP 4xx answer, ends the
+    call at once. `sleep` does the waiting. An empty completion raises
+    AugmentationFailed.
     """
     if prompt_variant not in PROMPT_TEMPLATES:
         raise ConfigurationError(f"prompt_variant must be 1 or 2, got {prompt_variant}")
     prompt = PROMPT_TEMPLATES[prompt_variant].format(sentence=sentence_text)
+    jitter = random.Random(seed)
     last_error: LlmTransportError | None = None
-    for _ in range(max(1, retries)):
+    for attempt in range(max(1, retries)):
+        if attempt:  # only a transport error comes back round
+            half = min(LLM_BACKOFF_CAP_S, LLM_BACKOFF_BASE_S * 2 ** (attempt - 1)) / 2
+            sleep(half + half * jitter.random())
         try:
             reply = client.complete(prompt)
             break
@@ -396,7 +412,7 @@ def llm_contradict(sentence_text: str, client: LlmClient, prompt_variant: int,
 
 def _llm_sample(sentence: LabeledSentence, client: LlmClient, variant: int,
                 seed: int) -> AugmentedSample:
-    reply = llm_contradict(" ".join(sentence.texts), client, variant)
+    reply = llm_contradict(" ".join(sentence.texts), client, variant, seed=seed)
     texts = reply.split()
     labels = [sentence.sentence_label] * len(texts)
     return AugmentedSample(

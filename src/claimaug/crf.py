@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ FORMAT_VERSION = 1
 
 
 _TEMPLATES = ("w", "suf1", "suf2", "suf3", "capInit", "allCap", "digit")
+# Features per position: a unigram and a bigram per template.
+_N_FEATURES = 2 * len(_TEMPLATES)
 
 
 def _values(token: str) -> tuple[str, ...]:
@@ -36,7 +38,16 @@ def _values(token: str) -> tuple[str, ...]:
             "1" if token.isdigit() else "0")
 
 
-_BOUNDARY = (BOS,) * len(_TEMPLATES)
+def _bigram_prefixes(values: Sequence[str]) -> tuple[str, ...]:
+    """The bigram strings of a token as the previous one, up to the next token's value.
+
+    A bigram feature is `prefix + value`, one prefix and value per template.
+    """
+    return tuple(f"b{name}={value}|" for name, value in zip(_TEMPLATES, values))
+
+
+# The prefixes of the boundary before position 0.
+_BOUNDARY_PREFIXES = _bigram_prefixes((BOS,) * len(_TEMPLATES))
 
 
 def extract_features(texts: Sequence[str]) -> list[list[str]]:
@@ -46,15 +57,30 @@ def extract_features(texts: Sequence[str]) -> list[list[str]]:
     `_feature_ids` give the ids of exactly these strings without listing them.
     """
     out = []
-    previous = _BOUNDARY
+    prefixes = _BOUNDARY_PREFIXES
     for token in texts:
         current = _values(token)
         feats = [f"{name}={value}" for name, value in zip(_TEMPLATES, current)]
-        feats += [f"b{name}={prev}|{value}"
-                  for name, prev, value in zip(_TEMPLATES, previous, current)]
+        feats += [prefix + value for prefix, value in zip(prefixes, current)]
         out.append(feats)
-        previous = current
+        prefixes = _bigram_prefixes(current)
     return out
+
+
+_MemoEntry = tuple[tuple[str, ...], list[int], tuple[str, ...]]
+
+
+def _memo_entry(token: str, feature_id: Callable[[str], int]) -> _MemoEntry:
+    """A `_token_memo` entry: the token's values, unigram ids and bigram prefixes.
+
+    `feature_id` maps a unigram string to its id. Only a memo miss comes
+    here, so this is where an empty token is rejected.
+    """
+    if not token:
+        raise ValidationError("empty token")
+    values = _values(token)
+    return (values, [feature_id(f"{name}={value}") for name, value in zip(_TEMPLATES, values)],
+            _bigram_prefixes(values))
 
 
 @dataclass
@@ -62,18 +88,21 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights. Two memos are never serialized: `_token_memo`
-    holds each token's template values and unigram feature ids for
-    `_feature_ids`, and `_sequence_ids` holds the feature-id array of each
-    token sequence `build` saw, keyed by `tuple(texts)`, until `train` has
-    compiled it.
+    L*L transition weights. Two memos are never serialized. `_token_memo`
+    maps each distinct token to `(values, unigram_ids, bigram_prefixes)`:
+    its seven template values, the ids of its seven unigram strings, and the
+    seven bigram strings it starts as the previous token, each missing only
+    the next token's value. It depends on the feature index, never on the
+    weights, which `train` and callers change in place. `_sequence_ids`
+    holds the feature-id array of each token sequence `build` saw, keyed by
+    `tuple(texts)`, until `train` has compiled it.
     """
 
     labels: tuple[str, ...]
     feature_index: dict[str, int]
     weights: np.ndarray
     l2: float = 0.0
-    _token_memo: dict[str, tuple[tuple[str, ...], list[int]]] = field(
+    _token_memo: dict[str, _MemoEntry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _sequence_ids: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -85,7 +114,9 @@ class CrfModel:
 
         Ids follow first appearance in `extract_features` order: position by
         position, a position's unigrams and then its bigrams, each in
-        `_TEMPLATES` order. A token's unigram strings are formatted once.
+        `_TEMPLATES` order. A token's `_token_memo` entry is made once, so
+        its unigram strings and bigram prefixes are formatted once; a bigram
+        is the previous token's prefix plus this token's value.
         """
         model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0), l2=l2)
         index = model.feature_index
@@ -96,20 +127,19 @@ class CrfModel:
             key = tuple(texts)
             if key in sequence_ids:
                 continue
-            rows = []
-            previous = _BOUNDARY
+            flat: list[int] = []
+            prefixes = _BOUNDARY_PREFIXES
             for token in key:
                 entry = memo.get(token)
                 if entry is None:
-                    values = _values(token)
-                    entry = memo[token] = (values, [add(f"{name}={value}", len(index))
-                                                    for name, value in zip(_TEMPLATES, values)])
-                current, unigram_ids = entry
-                rows.append(unigram_ids + [add(f"b{name}={prev}|{value}", len(index))
-                                           for name, prev, value
-                                           in zip(_TEMPLATES, previous, current)])
-                previous = current
-            sequence_ids[key] = np.array(rows, dtype=np.int32)
+                    entry = memo[token] = _memo_entry(
+                        token, lambda feature: add(feature, len(index)))
+                values, unigram_ids, following = entry
+                flat += unigram_ids
+                flat += [add(prefix + value, len(index))
+                         for prefix, value in zip(prefixes, values)]
+                prefixes = following
+            sequence_ids[key] = np.array(flat, np.int32).reshape(-1, _N_FEATURES)
         model.weights = np.zeros(len(index) * model.n_labels + model.n_labels ** 2)
         return model
 
@@ -148,13 +178,30 @@ class CrfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrfModel":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValidationError(f"unsupported model format {data.get('format_version')!r}")
-        model = cls(labels=tuple(data["labels"]), feature_index=dict(data["feature_index"]),
-                    weights=np.asarray(data["weights"], dtype=np.float64), l2=float(data["l2"]))
-        ids = list(model.feature_index.values())
-        if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):
+        version = data.get("format_version") if type(data) is dict else None
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported model format {version!r}")
+        missing = sorted({"labels", "l2", "feature_index", "weights"} - data.keys())
+        if missing:
+            raise ValidationError(f"model lacks {', '.join(missing)}")
+        labels, l2, index = data["labels"], data["l2"], data["feature_index"]
+        if (type(labels) is not list or not labels
+                or not all(type(label) is str for label in labels)):
+            raise ValidationError("model labels must be a non-empty list of strings")
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"model labels repeat: {labels!r}")
+        if type(l2) not in (int, float) or not 0.0 <= l2 < math.inf:
+            raise ValidationError(f"model l2 must be finite and >= 0, got {l2!r}")
+        ids = list(index.values()) if type(index) is dict else None
+        if (ids is None or not all(type(i) is int for i in ids)
+                or sorted(ids) != list(range(len(ids)))):
             raise ValidationError("feature ids must be exactly 0..F-1, each used once")
+        try:
+            weights = np.asarray(data["weights"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"model weights must be numbers: {exc}") from exc
+        model = cls(labels=tuple(labels), feature_index=dict(index), weights=weights,
+                    l2=float(l2))
         expected = len(model.feature_index) * model.n_labels + model.n_labels ** 2
         if model.weights.shape != (expected,):
             raise ValidationError(f"weight vector has {model.weights.size} entries, "
@@ -274,24 +321,24 @@ class _Compiled:
 def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one.
 
-    The ids are those of `extract_features(texts)`. A token's values and
-    unigram ids come from the model's memo; only the bigrams are looked up.
+    The ids are those of `extract_features(texts)`. A token's values,
+    unigram ids and bigram prefixes come from the model's memo, so each
+    bigram key is one concatenation of the previous token's prefix and this
+    token's value. The ids go into one flat list and one array.
     """
     get = model.feature_index.get
     memo = model._token_memo
-    rows = []
-    previous = _BOUNDARY
+    flat: list[int] = []
+    prefixes = _BOUNDARY_PREFIXES
     for token in texts:
         entry = memo.get(token)
         if entry is None:
-            values = _values(token)
-            entry = memo[token] = (values, [get(f"{name}={value}", -1)
-                                            for name, value in zip(_TEMPLATES, values)])
-        current, unigram_ids = entry
-        rows.append(unigram_ids + [get(f"b{name}={prev}|{value}", -1)
-                                   for name, prev, value in zip(_TEMPLATES, previous, current)])
-        previous = current
-    return np.array(rows, dtype=np.int32)
+            entry = memo[token] = _memo_entry(token, lambda feature: get(feature, -1))
+        values, unigram_ids, following = entry
+        flat += unigram_ids
+        flat += [get(prefix + value, -1) for prefix, value in zip(prefixes, values)]
+        prefixes = following
+    return np.array(flat, np.int32).reshape(-1, _N_FEATURES)
 
 
 def _compile(model: CrfModel,
@@ -314,10 +361,18 @@ def _compile(model: CrfModel,
 
 
 def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Emission scores [..., n, L] of compiled feature ids [..., n, 14]; id -1 adds nothing."""
-    rows = emission_weights[ids]
-    rows[ids < 0] = 0.0
-    return rows.sum(axis=-2)
+    """Emission scores [..., n, L] of compiled feature ids [..., n, 14]; id -1 adds nothing.
+
+    The gather is feature-major, `[14, n, ..., L]`, so the sum over
+    features is 13 adds of whole `[n, ..., L]` blocks in feature order,
+    not n·14 short inner loops, and its bits are those of the sum over
+    axis -2 of `[..., n, 14, L]`. `swapaxes` puts the positions back in
+    front of the labels.
+    """
+    by_feature = ids.T
+    rows = emission_weights[by_feature]
+    rows[by_feature < 0] = 0.0
+    return np.add.reduce(rows, 0).swapaxes(0, -2)
 
 
 def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
@@ -417,36 +472,42 @@ def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
 
     The recursion runs over Python floats: with a handful of labels that is
     cheaper than numpy calls per position, and the adds are the same float64
-    adds in the same order, so the path is the one numpy would find.
+    adds in the same order, so the path is the one numpy would find. Per
+    position and label it scans the previous labels with a strict `>`, so
+    the first best one wins; the last position's best label is the first
+    maximum, `delta.index(max(delta))`.
     """
     if not texts:
         return []
     emissions = _emissions(model.emission_weights, _feature_ids(model, texts)).tolist()
     columns = model.transitions.T.tolist()  # columns[j][i]: score of moving from i to j
-    labels = range(model.n_labels)
+    rest = range(1, model.n_labels)
     delta = emissions[0]
     back = []
     for row in emissions[1:]:
         pointers = []
         scores = []
+        first = delta[0]
         for column, emission in zip(columns, row):
             best = 0
-            best_score = delta[0] + column[0]
-            for i in labels[1:]:
+            best_score = first + column[0]
+            for i in rest:
                 score = delta[i] + column[i]
                 if score > best_score:
-                    best, best_score = i, score
+                    best = i
+                    best_score = score
             pointers.append(best)
             scores.append(best_score + emission)
         back.append(pointers)
         delta = scores
-    best = max(labels, key=delta.__getitem__)
+    best = delta.index(max(delta))
     path = [best]
     for pointers in reversed(back):
         best = pointers[best]
         path.append(best)
     path.reverse()
-    return [model.labels[i] for i in path]
+    labels = model.labels
+    return [labels[i] for i in path]
 
 
 def dataset_nll(model: CrfModel,

@@ -210,13 +210,17 @@ class TestLlm:
 
     def test_retries_then_succeeds(self):
         client = MockLlmClient(reply="ok", fail_times=2)
-        assert llm_contradict("s", client, 1, retries=3) == "ok"
+        pauses = []
+        assert llm_contradict("s", client, 1, retries=3, sleep=pauses.append) == "ok"
+        assert len(pauses) == 2
 
     def test_exhausted_retries_raise(self):
         from claimaug.errors import LlmTransportError
         client = MockLlmClient(reply="ok", fail_times=5)
+        pauses = []
         with pytest.raises(LlmTransportError):
-            llm_contradict("s", client, 1, retries=3)
+            llm_contradict("s", client, 1, retries=3, sleep=pauses.append)
+        assert len(pauses) == 2
 
     def test_empty_completion_fails(self):
         client = MockLlmClient(reply="   ")

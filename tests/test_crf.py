@@ -46,9 +46,27 @@ def reference_emissions(model, fids):
     return out
 
 
+# The emission oracle: ids straight from `extract_features` and the feature
+# index, summed the way `_emissions` summed them before its gather became
+# feature-major, so it shares no code with `_feature_ids` or `_emissions`.
+
+def oracle_feature_ids(model, texts):
+    """int [n, 14] ids of `extract_features(texts)`, -1 where the model lacks a feature."""
+    index = model.feature_index
+    ids = [[index.get(f, -1) for f in feats] for feats in extract_features(texts)]
+    return np.array(ids, dtype=np.intp).reshape(-1, 14)
+
+
+def oracle_emissions(model, ids):
+    """[..., n, L] emissions of ids [..., n, 14]: the zero-padded [..., n, 14, L] summed over -2."""
+    rows = model.emission_weights[ids]
+    rows[ids < 0] = 0.0
+    return rows.sum(axis=-2)
+
+
 def all_sequence_scores(model, texts):
     """Brute-force score of every label sequence, in lexicographic order."""
-    emissions = reference_emissions(model, present_feature_ids(model, texts))
+    emissions = oracle_emissions(model, oracle_feature_ids(model, texts))
     transitions = model.transitions
     n, L = emissions.shape
     seqs = np.array(list(itertools.product(range(L), repeat=n)), dtype=np.intp)
@@ -65,9 +83,21 @@ def brute_log_partition(model, texts):
 
 
 def brute_viterbi(model, texts):
+    """The best label sequence; among equal scores, the earlier label from the last position back."""
     seqs, scores = all_sequence_scores(model, texts)
-    best = seqs[int(np.argmax(scores))]
-    return [model.labels[i] for i in best]
+    best = scores.max()
+    path = min(tuple(seq[::-1]) for seq, score in zip(seqs.tolist(), scores) if score == best)
+    return [model.labels[i] for i in reversed(path)]
+
+
+def brute_marginals(model, texts):
+    """[n, L] label marginals by summing the probability of every sequence."""
+    seqs, scores = all_sequence_scores(model, texts)
+    probs = np.exp(scores - brute_log_partition(model, texts))
+    out = np.zeros((len(texts), model.n_labels))
+    for i in range(len(texts)):
+        np.add.at(out[i], seqs[:, i], probs)
+    return out
 
 
 def random_instance(rng, n_max=5, l_max=4, scale=1.0):
@@ -80,6 +110,33 @@ def random_instance(rng, n_max=5, l_max=4, scale=1.0):
     weights_rng = np.random.default_rng(rng.randrange(2 ** 31))
     model.weights = weights_rng.normal(0.0, scale, size=model.weights.shape)
     return model, texts, labels
+
+
+# One-character, digit, all-caps and mixed tokens, plus the boundary symbol
+# itself as a literal token.
+TOKENS = ["a", "%", "7", "80", "IBS", "B12", "gut", "Helped", "the", BOS]
+
+
+@st.composite
+def tiny_models(draw):
+    """A model with 1-4 labels and a 1-5 token sentence, for enumeration.
+
+    Half the models get Gaussian weights. The other half get small integer
+    weights: their sums are exact and equal scores are common.
+    """
+    labels = [f"L{i}" for i in range(draw(st.integers(1, 4)))]
+    seen = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    model = CrfModel.build(labels, seen)
+    size = model.weights.size
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+        model.weights = np.array(values, dtype=np.float64)
+    else:
+        weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        model.weights = weights_rng.normal(0.0, 1.0, size=size)
+    texts = draw(st.lists(st.sampled_from(TOKENS + ["unseen", "ZZ"]), min_size=1, max_size=5))
+    return model, texts
 
 
 class TestFeatures:
@@ -123,13 +180,12 @@ class TestLogPartition:
             seqs, scores = all_sequence_scores(model, texts)
             assert log_partition(model, texts) == pytest.approx(float(scores[0]))
 
-    def test_matches_brute_force(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            model, texts, _ = random_instance(rng)
-            expected = brute_log_partition(model, texts)
-            got = log_partition(model, texts)
-            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_models())
+    def test_matches_brute_force(self, instance):
+        model, texts = instance
+        expected = brute_log_partition(model, texts)
+        assert log_partition(model, texts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_sequence_probabilities_in_unit_interval(self):
         rng = random.Random(2)
@@ -149,6 +205,13 @@ class TestMarginals:
             model, texts, _ = random_instance(rng)
             marginals = posterior_marginals(model, texts)
             np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tiny_models())
+    def test_match_enumeration(self, instance):
+        model, texts = instance
+        np.testing.assert_allclose(posterior_marginals(model, texts),
+                                   brute_marginals(model, texts), rtol=1e-9, atol=1e-12)
 
 
 class TestGradient:
@@ -209,7 +272,7 @@ def reference_viterbi(model, texts):
     """Viterbi with numpy per position, as it ran before the scalar recursion."""
     if not texts:
         return []
-    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
+    emissions = oracle_emissions(model, oracle_feature_ids(model, texts))
     transitions = model.transitions
     n, L = emissions.shape
     delta = emissions[0]
@@ -225,11 +288,6 @@ def reference_viterbi(model, texts):
         path.append(best)
     path.reverse()
     return [model.labels[i] for i in path]
-
-
-# One-character, digit, all-caps and mixed tokens, plus the boundary symbol
-# itself as a literal token.
-TOKENS = ["a", "%", "7", "80", "IBS", "B12", "gut", "Helped", "the", BOS]
 
 
 @st.composite
@@ -296,11 +354,11 @@ class TestViterbi:
         model, texts = instance
         assert viterbi(model, texts) == reference_viterbi(model, texts)
 
-    def test_matches_enumeration(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            model, texts, _ = random_instance(rng)
-            assert viterbi(model, texts) == brute_viterbi(model, texts)
+    @settings(max_examples=200, deadline=None)
+    @given(tiny_models())
+    def test_matches_enumeration(self, instance):
+        model, texts = instance
+        assert viterbi(model, texts) == brute_viterbi(model, texts)
 
     def test_empty_sequence(self):
         model = CrfModel.build(["A", "B"], [["x"]])
@@ -543,9 +601,7 @@ def oracle_sentence_gradient(model, ids, y):
     """`(nll, rows, emission_grad, transition_grad)` of one compiled sentence."""
     weights = model.emission_weights
     transitions = model.transitions
-    gathered = weights[ids]
-    gathered[ids < 0] = 0.0
-    emissions = gathered.sum(axis=-2)
+    emissions = oracle_emissions(model, ids)
     alpha = oracle_forward(emissions, transitions)
     beta = oracle_backward(emissions, transitions)
     log_z = _oracle_logsumexp(alpha[-1])
@@ -646,6 +702,49 @@ class TestMatchesOracles:
         assert list(model.feature_index.items()) == list(expected.feature_index.items())
 
 
+# Tokens that hold the separators of the feature strings, so a bigram key
+# joined at the wrong place would name another feature.
+SEPARATOR_TOKENS = ["a|b", "|", "=", "w=a", "b|", "=|=", "|a"]
+
+
+@st.composite
+def emission_instances(draw):
+    """A model with 1-9 labels and a batch of 1-4 equal-length sentences.
+
+    The sentences draw from tokens the model never saw, so some ids are -1.
+    Integer weights times a random sign put -0.0 among the weights.
+    """
+    labels = [f"L{i}" for i in range(draw(st.integers(1, 9)))]
+    vocabulary = BUILD_TOKENS + SEPARATOR_TOKENS
+    seen = draw(st.lists(st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6),
+                         min_size=1, max_size=3))
+    model = CrfModel.build(labels, seen)
+    weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        model.weights = weights_rng.normal(0.0, 2.0, size=model.weights.shape)
+    else:
+        model.weights = (weights_rng.integers(-1, 2, size=model.weights.shape)
+                         * weights_rng.choice([-1.0, 1.0], size=model.weights.shape))
+    n = draw(st.integers(1, 8))
+    queries = vocabulary + ["unseen", "ZZ", "x|y", "=7"]
+    batch = draw(st.lists(st.lists(st.sampled_from(queries), min_size=n, max_size=n),
+                          min_size=1, max_size=4))
+    return model, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(emission_instances())
+def test_emissions_match_oracle(instance):
+    model, batch = instance
+    weights = model.emission_weights
+    expected_ids = np.array([oracle_feature_ids(model, texts) for texts in batch])
+    ids = np.array([_feature_ids(model, texts) for texts in batch])
+    assert ids.dtype == np.int32 and ids.tolist() == expected_ids.tolist()
+    for one, expected in zip(ids, expected_ids):
+        assert_same_bits(_emissions(weights, one), oracle_emissions(model, expected))
+    assert_same_bits(_emissions(weights, ids), oracle_emissions(model, expected_ids))
+
+
 @st.composite
 def mixed_length_datasets(draw):
     vocabulary = ["80", "%", "IBS", "gut", "the", "Helped", "slept", "a", "B12"]
@@ -696,6 +795,11 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             CrfModel.from_dict({"format_version": 99})
 
+    @pytest.mark.parametrize("data", [[], "model", None])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValidationError, match="unsupported model format"):
+            CrfModel.from_dict(data)
+
     @pytest.mark.parametrize("ids", [[0, 5], [1, 1]], ids=["out-of-range", "duplicate"])
     def test_feature_ids_must_be_dense(self, ids):
         model = CrfModel.build(["A", "B"], [["x"]])
@@ -705,3 +809,39 @@ class TestSerialization:
         data["weights"] = [0.0] * (2 * 2 + 2 * 2)
         with pytest.raises(ValidationError):
             CrfModel.from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("labels", []), ("labels", ["A", "A"]), ("labels", ["A", 1]), ("labels", "AB"),
+        ("l2", -0.1), ("l2", math.nan), ("l2", math.inf), ("l2", "0.1"), ("l2", True),
+        ("feature_index", [["w=x", 0]]), ("weights", "many"), ("weights", [[0.0], [0.0, 1.0]]),
+    ], ids=["no-labels", "duplicate-labels", "non-string-label", "labels-not-a-list",
+            "negative-l2", "nan-l2", "inf-l2", "string-l2", "bool-l2",
+            "index-not-an-object", "weights-not-numbers", "ragged-weights"])
+    def test_malformed_field_rejected(self, field, value):
+        data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
+        data[field] = value
+        with pytest.raises(ValidationError):
+            CrfModel.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["labels", "l2", "feature_index", "weights"])
+    def test_missing_field_rejected(self, field):
+        data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
+        del data[field]
+        with pytest.raises(ValidationError, match=field):
+            CrfModel.from_dict(data)
+
+    def test_integer_l2_loads(self):
+        data = CrfModel.build(["A", "B"], [["x"]], l2=0.5).to_dict()
+        data["l2"] = 1
+        assert CrfModel.from_dict(data).l2 == 1.0
+
+
+class TestEmptyToken:
+    def test_predict_rejects_an_empty_token(self):
+        model = CrfModel.build(["A", "B"], [["x"]])
+        with pytest.raises(ValidationError, match="empty token"):
+            model.predict(["x", ""])
+
+    def test_build_rejects_an_empty_token(self):
+        with pytest.raises(ValidationError, match="empty token"):
+            CrfModel.build(["A", "B"], [["x", ""]])

@@ -6,10 +6,14 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from claimaug.augment import llm_contradict
+from claimaug import augment
+from claimaug.augment import LLM_BACKOFF_BASE_S, LLM_BACKOFF_CAP_S, llm_contradict
 from claimaug.errors import ConfigurationError, LlmTransportError
 from claimaug.llmclient import EchoLlmClient, HttpLlmClient
+from claimaug.senttok import LabeledSentence
 from conftest import MockLlmClient
 
 
@@ -121,10 +125,12 @@ class TestRetryOnlyTransientErrors:
     @pytest.mark.parametrize("code", [400, 401, 403, 404, 429])
     def test_4xx_is_a_configuration_error_and_not_retried(self, monkeypatch, code):
         calls = scripted_urlopen(monkeypatch, http_error(code))
+        pauses = []
         with pytest.raises(ConfigurationError) as exc:
-            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3)
+            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3,
+                           sleep=pauses.append)
         assert f"HTTP {code}" in str(exc.value)
-        assert len(calls) == 1
+        assert len(calls) == 1 and pauses == []
 
     @pytest.mark.parametrize("error", [
         http_error(500), http_error(503), urllib.error.URLError("connection refused"),
@@ -133,14 +139,61 @@ class TestRetryOnlyTransientErrors:
     def test_transient_errors_are_retried(self, monkeypatch, error):
         calls = scripted_urlopen(monkeypatch, error, error, b'{"completion": "Not so."}')
         client = HttpLlmClient(self.ENDPOINT)
-        assert llm_contradict("Tea helps.", client, 1, retries=3) == "Not so."
-        assert len(calls) == 3
+        pauses = []
+        assert llm_contradict("Tea helps.", client, 1, retries=3,
+                              sleep=pauses.append) == "Not so."
+        assert len(calls) == 3 and len(pauses) == 2
 
     def test_transient_errors_exhaust_the_retries(self, monkeypatch):
         calls = scripted_urlopen(monkeypatch, http_error(502))
+        pauses = []
         with pytest.raises(LlmTransportError):
-            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3)
-        assert len(calls) == 3
+            llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, retries=3,
+                           sleep=pauses.append)
+        assert len(calls) == 3 and len(pauses) == 2
+
+    def test_success_does_not_pause(self, monkeypatch):
+        scripted_urlopen(monkeypatch, b'{"completion": "Not so."}')
+        pauses = []
+        llm_contradict("Tea helps.", HttpLlmClient(self.ENDPOINT), 1, sleep=pauses.append)
+        assert pauses == []
+
+
+def failing_pauses(retries: int, seed: int) -> list[float]:
+    """The pauses `llm_contradict` takes when every attempt is a transport error."""
+    pauses = []
+    with pytest.raises(LlmTransportError):
+        llm_contradict("s", MockLlmClient(fail_times=retries), 1, retries=retries, seed=seed,
+                       sleep=pauses.append)
+    return pauses
+
+
+class TestBackoff:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+    def test_pauses_double_within_their_jitter_and_stay_bounded(self, retries, seed):
+        pauses = failing_pauses(retries, seed)
+        assert len(pauses) == retries - 1
+        for k, pause in enumerate(pauses):
+            full = min(LLM_BACKOFF_CAP_S, LLM_BACKOFF_BASE_S * 2 ** k)
+            assert full / 2 <= pause <= full
+        assert sum(pauses) <= (retries - 1) * LLM_BACKOFF_CAP_S
+
+    def test_jitter_is_seeded(self):
+        assert failing_pauses(4, seed=3) == failing_pauses(4, seed=3)
+        assert failing_pauses(4, seed=3) != failing_pauses(4, seed=4)
+
+    def test_augment_passes_the_trial_seed(self, monkeypatch):
+        seen = []
+
+        def contradict(text, client, variant, retries=3, *, seed=0, sleep=None):
+            seen.append(seed)
+            return "Not so."
+
+        monkeypatch.setattr(augment, "llm_contradict", contradict)
+        source = LabeledSentence("d", 0, ("Tea", "helps", "."), ("CLA",) * 3, "CLA")
+        sample = augment._llm_sample(source, MockLlmClient(reply="x"), 1, seed=1234)
+        assert seen == [1234] and sample.seed == 1234
 
 
 class TestOfflineClients:

@@ -12,7 +12,8 @@ import io
 import os
 import tempfile
 
-from claimaug.cli import main
+from claimaug.cli import _load_sentences, main
+from claimaug.crf import CrfModel
 
 METHODS = ("aeda", "vr-random", "vr-antonym", "er", "llm")
 SIZES = "CLA=12,EXP=30,O=120,PER=40,QUE=30"
@@ -58,6 +59,8 @@ PINNED = {
         "d6e2feeedd28dde074dcc9f3c765fd295c7deca706515a25e956d127475d1e6c",
     "train-clf/textclf-adv/model.json":
         "8ed4959ab9a22edf0e2780421b9b3edd897ca5a1010e95f12b8413eac9766e0e",
+    "train-crf/l2=0/predict":
+        "cb77ab0e35bbf02aa805ce49f0658bb97308cec02f547a89f9215bb7cd3d4f92",
 }
 
 
@@ -132,6 +135,12 @@ def produce_digests(work: str) -> dict[str, str]:
                                *settings, f"model_out = {model_out}"])
         _run(command, "--config", config)
         digests[f"{name}/model.json"] = _sha256(model_out)
+
+    # The labels the l2 = 0 model decodes on the dev fixture, one line per sentence.
+    model = CrfModel.load(os.path.join(work, "train-crf-l2=0.json"))
+    _, sentences = _load_sentences(os.path.join(dev, "corpus.tsv"), schema)
+    decoded = "".join(" ".join(model.predict(s.texts)) + "\n" for s in sentences)
+    digests["train-crf/l2=0/predict"] = hashlib.sha256(decoded.encode("utf-8")).hexdigest()
     return digests
 
 
