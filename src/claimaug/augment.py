@@ -86,9 +86,6 @@ class EntityDictionary:
             if len(set(forms)) != len(forms):
                 raise ValidationError(f"entity category {category!r} has duplicates")
 
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
 
 @dataclass(frozen=True)
 class EntitySpan:

@@ -215,32 +215,42 @@ def cmd_make_fixture(args) -> int:
     return 0
 
 
-# Every key an experiment config may set. A numeric key is read into the
-# dataclass field of its name (`augment.` keys into `aug.AugmentConfig`), and
-# that field's default is the key's only default.
-CONFIG_KEYS = frozenset({
-    "train", "dev", "schema", "seed", "model", "outdir", "model_out",
-    "epochs", "learning_rate", "decay", "l2", "dim", "epsilon", "adv_weight", "embeddings",
-    "augment.method", "augment.target_class", "augment.n_samples", "augment.per_sentence",
-    "entities", "offline", "llm.endpoint",
-})
+# Every key an experiment config may set, mapped to the (commands, models,
+# augment methods) that read it; None stands for any. A key set where none
+# of its readers runs is an error. A numeric key is read into the dataclass
+# field of its name (`augment.` keys into `aug.AugmentConfig`), and that
+# field's default is the key's only default.
+_ANY = (None, None, None)
+_RUN = (("run-experiment",), None, None)
+_CRF = (None, ("crf",), None)
+_CLF = (None, ("textclf",), None)
+CONFIG_KEYS = {
+    "train": _ANY, "dev": _RUN, "schema": _ANY, "seed": _ANY, "model": _RUN, "outdir": _RUN,
+    "model_out": (("train-crf", "train-clf"), None, None),
+    "epochs": _ANY, "learning_rate": _ANY, "decay": _CRF, "l2": _CRF,
+    "dim": _CLF, "epsilon": _CLF, "adv_weight": _CLF, "embeddings": _CLF,
+    "augment.method": _RUN, "augment.target_class": _RUN, "augment.n_samples": _RUN,
+    "augment.per_sentence": _RUN, "entities": (("run-experiment",), None, ("er",)),
+    "offline": (("run-experiment",), None, ("llm",)),
+    "llm.endpoint": (("run-experiment",), None, ("llm",)),
+}
 
 
-# Keys only one model reads; every other key is read whichever model trains.
-# Setting one for the other model is an error, so `dim` under model = crf
-# cannot pass for a setting.
-_MODEL_KEYS = {"crf": ("decay", "l2"), "textclf": ("dim", "epsilon", "adv_weight", "embeddings")}
-_COMMAND_MODEL = {"train-crf": "crf", "train-clf": "textclf"}
-# Keys only run-experiment reads, and the one key only train-crf and train-clf read.
-_EXPERIMENT_KEYS = frozenset({"dev", "outdir", "entities", "offline", "llm.endpoint"}
-                             | {key for key in CONFIG_KEYS if key.startswith("augment.")})
-_TRAIN_KEYS = frozenset({"model_out"})
-# Keys only one augment method reads.
-_METHOD_KEYS = {"entities": "er", "offline": "llm", "llm.endpoint": "llm"}
+def _check_readers(config: dict[str, str], scope: int, actual: str, label: str = "",
+                   where: str | None = None) -> None:
+    """Reject the first key whose `scope` readers omit `actual` (0 command, 1 model, 2 method)."""
+    for key in config:
+        readers = CONFIG_KEYS[key][scope]
+        if readers is not None and actual not in readers:
+            raise ConfigurationError(f"config key {key!r} is read only by {label}"
+                                     f"{' and '.join(readers)}, not by {where or label + actual}")
 
 
-def _check_config(config: dict[str, str], command: str) -> None:
-    """Reject unknown, unread and missing keys, missing files and bad choices before any work."""
+def _check_config(config: dict[str, str], command: str, model: str) -> None:
+    """Reject unknown, unread and missing keys, missing files and bad choices before any work.
+
+    `model` is the one `command` trains: the config's own under run-experiment.
+    """
     for key in config:
         if key not in CONFIG_KEYS:
             close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
@@ -248,21 +258,10 @@ def _check_config(config: dict[str, str], command: str) -> None:
             raise ConfigurationError(f"unknown config key {key!r}{hint}")
     if config.get("model") not in (None, "crf", "textclf"):
         raise ConfigurationError(f"unknown model {config['model']!r} (use crf or textclf)")
-    model = _COMMAND_MODEL.get(command, config.get("model", "textclf"))
-    for other, keys in _MODEL_KEYS.items():
-        for key in keys:
-            if other != model and key in config:
-                where = command if command in _COMMAND_MODEL else f"model = {model}"
-                raise ConfigurationError(
-                    f"config key {key!r} is read only by model = {other}, not by {where}")
-    training = command in _COMMAND_MODEL
-    for key in config:
-        if key in (_EXPERIMENT_KEYS if training else _TRAIN_KEYS):
-            readers = "run-experiment" if training else "train-crf and train-clf"
-            raise ConfigurationError(
-                f"config key {key!r} is read only by {readers}, not by {command}")
-    need_dev = command == "run-experiment"
-    for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
+    experiment = command == "run-experiment"
+    _check_readers(config, 1, model, "model = ", None if experiment else command)
+    _check_readers(config, 0, command)
+    for key in ("train", "schema", "seed") + (("dev",) if experiment else ()):
         if key not in config:
             raise ConfigurationError(f"experiment config missing {key!r}")
     for key in ("train", "schema", "dev", "embeddings", "entities"):
@@ -271,14 +270,11 @@ def _check_config(config: dict[str, str], command: str) -> None:
     if config.get("offline") not in (None, "true", "false"):
         raise ConfigurationError(f"offline must be true or false, got {config['offline']!r}")
     methods = [m.value for m in aug.Method]
-    method = config.get("augment.method")
-    if method not in (None, "none", *methods):
+    method = config.get("augment.method", "none")
+    if method not in ("none", *methods):
         raise ConfigurationError(f"unknown augment.method {method!r} "
                                  f"(use none, {', '.join(methods)})")
-    for key, reader in _METHOD_KEYS.items():
-        if key in config and method != reader:
-            raise ConfigurationError(f"config key {key!r} is read only by augment.method = "
-                                     f"{reader}, not by augment.method = {method or 'none'}")
+    _check_readers(config, 2, method, "augment.method = ")
     if method == aug.Method.LLM.value and not (config.get("offline") == "true"
                                                or "llm.endpoint" in config):
         raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
@@ -335,7 +331,7 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
 
 def cmd_train(args) -> int:
     config = parse_kv_config(_read_text(args.config))
-    _check_config(config, args.command)
+    _check_config(config, args.command, args.model)
     schema, sentences = _load_sentences(config["train"], config["schema"])
     model = args.trainer(sentences, schema, config)
     out = config.get("model_out", args.model_out)
@@ -376,7 +372,8 @@ def cmd_compare(args) -> int:
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:
     """Train the configured model on base + augmented sentences, score on dev."""
-    _check_config(config, "run-experiment")
+    model_name = config.get("model", "textclf")
+    _check_config(config, "run-experiment", model_name)
     schema, train_sentences = _load_sentences(config["train"], config["schema"])
 
     if config.get("augment.method", "none") != "none":
@@ -389,7 +386,7 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
             llm_endpoint=config.get("llm.endpoint"), workers=workers)
         train_sentences = train_sentences + [s.sentence for s in samples]
 
-    if config.get("model", "textclf") == "crf":
+    if model_name == "crf":
         model = _train_crf_model(train_sentences, schema, config)
 
         def predict(texts):
@@ -473,11 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-crf", help="train the CRF sequence labeler")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train, trainer=_train_crf_model, model_out="crf-model.json")
+    p.set_defaults(fn=cmd_train, model="crf", trainer=_train_crf_model, model_out="crf-model.json")
 
     p = sub.add_parser("train-clf", help="train the sentence classifier")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train, trainer=_train_clf_model, model_out="clf-model.json")
+    p.set_defaults(fn=cmd_train, model="textclf", trainer=_train_clf_model,
+                   model_out="clf-model.json")
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import TrainingDiverged, ValidationError
-from .util import atomic_write_text
+from .util import atomic_write_text, check_model_dict
 
 BOS = "<BOS>"
 
@@ -178,18 +178,9 @@ class CrfModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrfModel":
-        version = data.get("format_version") if type(data) is dict else None
-        if version != FORMAT_VERSION:
-            raise ValidationError(f"unsupported model format {version!r}")
-        missing = sorted({"labels", "l2", "feature_index", "weights"} - data.keys())
-        if missing:
-            raise ValidationError(f"model lacks {', '.join(missing)}")
+        check_model_dict(data, FORMAT_VERSION, {"labels", "l2", "feature_index", "weights"},
+                         "labels")
         labels, l2, index = data["labels"], data["l2"], data["feature_index"]
-        if (type(labels) is not list or not labels
-                or not all(type(label) is str for label in labels)):
-            raise ValidationError("model labels must be a non-empty list of strings")
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"model labels repeat: {labels!r}")
         if type(l2) not in (int, float) or not 0.0 <= l2 < math.inf:
             raise ValidationError(f"model l2 must be finite and >= 0, got {l2!r}")
         ids = list(index.values()) if type(index) is dict else None

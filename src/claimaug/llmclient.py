@@ -47,15 +47,14 @@ class EchoLlmClient:
 
 
 class HttpLlmClient:
-    def __init__(self, endpoint: str, token_env: str = DEFAULT_TOKEN_ENV, timeout: float = 30.0):
+    def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
-        self.token_env = token_env
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
         body = json.dumps({"prompt": prompt}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
+        token = os.environ.get(DEFAULT_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         request = urllib.request.Request(self.endpoint, data=body, headers=headers, method="POST")

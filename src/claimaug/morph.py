@@ -116,13 +116,6 @@ class VerbLexicon:
     reverse: dict[str, tuple[tuple[str, Tense], ...]]
     stoplist: frozenset[str]
 
-    def __contains__(self, base: str) -> bool:
-        return base in self.entries
-
-    @property
-    def bases(self) -> list[str]:
-        return sorted(self.entries)
-
 
 @dataclass(frozen=True)
 class AntonymLexicon:

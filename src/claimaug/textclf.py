@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, TrainingDiverged, ValidationError
-from .util import atomic_write_text, derive_seed
+from .util import atomic_write_text, check_model_dict, derive_seed
 
 FORMAT_VERSION = 1
 
@@ -162,15 +162,18 @@ class SoftmaxClassifier:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SoftmaxClassifier":
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValidationError(f"unsupported model format {data.get('format_version')!r}")
-        oov = np.asarray(data["oov"], dtype=np.float64)
-        matrix = np.asarray(data["matrix"], dtype=np.float64)
+        check_model_dict(data, FORMAT_VERSION,
+                         {"classes", "weights", "bias", "vocab", "matrix", "oov"}, "classes")
+        try:
+            weights, bias, matrix, oov = [np.asarray(data[key], dtype=np.float64)
+                                          for key in ("weights", "bias", "matrix", "oov")]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"model arrays must be numbers: {exc}") from exc
+        if type(data["vocab"]) is not dict:
+            raise ValidationError("model vocab must be an object")
         if matrix.size == 0:
             matrix = matrix.reshape(0, oov.size)  # an empty vocabulary saves as []
-        model = cls(classes=tuple(data["classes"]),
-                    weights=np.asarray(data["weights"], dtype=np.float64),
-                    bias=np.asarray(data["bias"], dtype=np.float64),
+        model = cls(classes=tuple(data["classes"]), weights=weights, bias=bias,
                     table=EmbeddingTable(vocab=dict(data["vocab"]), matrix=matrix, oov=oov))
         ids = list(model.table.vocab.values())
         if not all(type(i) is int for i in ids) or sorted(ids) != list(range(len(ids))):

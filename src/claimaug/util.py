@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, atomic file writes, config parsing."""
+"""Small shared helpers: seed derivation, atomic file writes, config parsing, model checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import hashlib
 import os
 import tempfile
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def derive_seed(*parts: object) -> int:
@@ -56,3 +56,22 @@ def parse_kv_config(text: str) -> dict[str, str]:
             raise ParseError("empty key", line=lineno)
         out[key] = value.strip()
     return out
+
+
+def check_model_dict(data: object, version: int, keys: set[str], names_key: str) -> None:
+    """Raise ValidationError unless `data` is a model dict that `from_dict` can read.
+
+    It must be a dict of format `version` that holds every key in `keys`, and
+    `data[names_key]` must be a non-empty list of unique strings.
+    """
+    found = data.get("format_version") if type(data) is dict else None
+    if found != version:
+        raise ValidationError(f"unsupported model format {found!r}")
+    missing = sorted(keys - data.keys())
+    if missing:
+        raise ValidationError(f"model lacks {', '.join(missing)}")
+    names = data[names_key]
+    if type(names) is not list or not names or not all(type(name) is str for name in names):
+        raise ValidationError(f"model {names_key} must be a non-empty list of strings")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"model {names_key} repeat: {names!r}")

@@ -1,3 +1,4 @@
+import difflib
 import json
 import os
 import time
@@ -5,12 +6,15 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimaug import augment as aug
 from claimaug import cli
 from claimaug import morph
 from claimaug.cli import CONFIG_KEYS, main
 from claimaug.crf import TrainConfig
+from claimaug.errors import ConfigurationError
 
 
 def run(capsys, *argv):
@@ -545,7 +549,131 @@ def readme_config_keys() -> set[str]:
     return {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
 
 
+# The config check as it stood before `CONFIG_KEYS` named each key's
+# readers: the oracle for the table-driven check.
+ORACLE_MODEL_KEYS = {"crf": ("decay", "l2"),
+                     "textclf": ("dim", "epsilon", "adv_weight", "embeddings")}
+ORACLE_COMMAND_MODEL = {"train-crf": "crf", "train-clf": "textclf"}
+ORACLE_EXPERIMENT_KEYS = frozenset({"dev", "outdir", "entities", "offline", "llm.endpoint"}
+                                   | {key for key in CONFIG_KEYS if key.startswith("augment.")})
+ORACLE_TRAIN_KEYS = frozenset({"model_out"})
+ORACLE_METHOD_KEYS = {"entities": "er", "offline": "llm", "llm.endpoint": "llm"}
+
+
+def oracle_check_config(config, command):
+    for key in config:
+        if key not in CONFIG_KEYS:
+            close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            raise ConfigurationError(f"unknown config key {key!r}{hint}")
+    if config.get("model") not in (None, "crf", "textclf"):
+        raise ConfigurationError(f"unknown model {config['model']!r} (use crf or textclf)")
+    model = ORACLE_COMMAND_MODEL.get(command, config.get("model", "textclf"))
+    for other, keys in ORACLE_MODEL_KEYS.items():
+        for key in keys:
+            if other != model and key in config:
+                where = command if command in ORACLE_COMMAND_MODEL else f"model = {model}"
+                raise ConfigurationError(
+                    f"config key {key!r} is read only by model = {other}, not by {where}")
+    training = command in ORACLE_COMMAND_MODEL
+    for key in config:
+        if key in (ORACLE_EXPERIMENT_KEYS if training else ORACLE_TRAIN_KEYS):
+            readers = "run-experiment" if training else "train-crf and train-clf"
+            raise ConfigurationError(
+                f"config key {key!r} is read only by {readers}, not by {command}")
+    need_dev = command == "run-experiment"
+    for key in ("train", "schema", "seed") + (("dev",) if need_dev else ()):
+        if key not in config:
+            raise ConfigurationError(f"experiment config missing {key!r}")
+    for key in ("train", "schema", "dev", "embeddings", "entities"):
+        if key in config and not os.path.exists(config[key]):
+            raise ConfigurationError(f"{key} file not found: {config[key]}")
+    if config.get("offline") not in (None, "true", "false"):
+        raise ConfigurationError(f"offline must be true or false, got {config['offline']!r}")
+    methods = [m.value for m in aug.Method]
+    method = config.get("augment.method")
+    if method not in (None, "none", *methods):
+        raise ConfigurationError(f"unknown augment.method {method!r} "
+                                 f"(use none, {', '.join(methods)})")
+    for key, reader in ORACLE_METHOD_KEYS.items():
+        if key in config and method != reader:
+            raise ConfigurationError(f"config key {key!r} is read only by augment.method = "
+                                     f"{reader}, not by augment.method = {method or 'none'}")
+    if method == aug.Method.LLM.value and not (config.get("offline") == "true"
+                                               or "llm.endpoint" in config):
+        raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
+
+
+def check_outcome(check, *args):
+    """The message `check` rejects with, or None if it accepts."""
+    try:
+        check(*args)
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
+# A value for each key that passes its own check, plus a few that do not, so
+# the order of the value and the scope checks is exercised too. Every file
+# key names this file, which exists.
+CONFIG_VALUES = {
+    **{key: st.just(os.path.abspath(__file__))
+       for key in ("train", "schema", "dev", "embeddings", "entities")},
+    "model": st.sampled_from(["crf", "textclf", "svm"]),
+    "augment.method": st.sampled_from(["none", *(m.value for m in aug.Method), "bat"]),
+    "offline": st.sampled_from(["true", "false", "no"]),
+    "llm.endpoint": st.just("http://llm.invalid/complete"),
+}
+TRAINED = {"train-crf": "crf", "train-clf": "textclf"}
+
+
 class TestConfigCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_table_check_agrees_with_the_oracle(self, data):
+        command = data.draw(st.sampled_from(["run-experiment", "train-crf", "train-clf"]))
+        keys = data.draw(st.sets(st.sampled_from(list(CONFIG_KEYS)), max_size=6))
+        if data.draw(st.booleans()):
+            keys |= {"train", "schema", "seed"} | ({"dev"} if command == "run-experiment"
+                                                   else set())
+        ordered = [key for key in CONFIG_KEYS if key in keys]
+        shuffled = data.draw(st.booleans())
+        if shuffled:
+            ordered = data.draw(st.permutations(ordered))
+        config = {key: data.draw(CONFIG_VALUES.get(key, st.just("1")), label=key)
+                  for key in ordered}
+        model = TRAINED.get(command, config.get("model", "textclf"))
+        expected = check_outcome(oracle_check_config, config, command)
+        got = check_outcome(cli._check_config, config, command, model)
+        if command in TRAINED and "model" in config:
+            # The one intended difference: only run-experiment reads `model`.
+            assert got is not None
+        elif shuffled:
+            # Both name the first bad key of a scope; the old loops took the
+            # model and method keys in table order, not in the config's.
+            assert (got is None) == (expected is None)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("command", ["train-crf", "train-clf"])
+    @pytest.mark.parametrize("model", ["crf", "textclf"])
+    def test_train_rejects_model_key(self, tmp_path, fixture_dir, capsys, monkeypatch,
+                                     command, model):
+        config = tmp_path / "train.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", f"model = {model}",
+        ]) + "\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert f"config key 'model' is read only by run-experiment, not by {command}" in err
+
     def test_readme_lists_every_accepted_key(self):
         assert readme_config_keys() == set(CONFIG_KEYS)
         assert len(CONFIG_KEYS) == 22

@@ -51,6 +51,25 @@ class TestSchema:
             parse_schema_config("outside = O\ncategories = CLA\nbogus = 1\n")
 
 
+# Labels from characters that the schema config writes and reads back
+# unchanged: no whitespace, comma, `=` or `#`.
+LABELS = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.",
+                 min_size=1, max_size=6)
+
+
+@st.composite
+def schemas(draw):
+    labels = draw(st.lists(LABELS, min_size=2, max_size=6, unique=True))
+    counted = draw(st.lists(st.sampled_from(labels), unique=True))
+    freq = {label: draw(st.integers(min_value=0, max_value=10**9)) for label in counted}
+    return LabelSchema(outside_label=labels[0], categories=tuple(labels[1:]), train_freq=freq)
+
+
+@given(schemas())
+def test_schema_config_round_trips(schema):
+    assert parse_schema_config(format_schema_config(schema)) == schema
+
+
 class TestTokenLabelFile:
     def test_two_blocks(self, schema):
         data = b"I\tO\nran\tO\n.\tO\n\nIt\tCLA\nhelped\tCLA\n"

@@ -20,6 +20,8 @@ from claimaug.textclf import (
 )
 from claimaug.util import derive_seed
 
+# Marks a model key that `test_malformed_model_rejected` deletes.
+MISSING = object()
 
 @pytest.fixture
 def table():
@@ -263,15 +265,27 @@ class TestSerialization:
         ("bias", [0.0, float("inf")]),
         ("matrix", [[1.0, 0.0], [0.0, float("nan")], [1.0, 1.0]]),
         ("oov", [float("-inf"), 0.0]),
+        ("classes", ["A", "A"]),
+        ("classes", ["A", 1]),
+        ("oov", MISSING),
+        (None, ["A", "B"]),
+        ("weights", [[0.1], [0.2, 0.3]]),
+        ("oov", "xy"),
+        ("vocab", 5),
+        ("vocab", [["a", 0], ["b", 1], ["c", 2]]),
     ])
     def test_malformed_model_rejected(self, key, value):
+        """`value` replaces `key`; MISSING deletes it, and key None replaces the whole model."""
         valid = {"format_version": 1, "classes": ["A", "B"],
                  "weights": [[0.1, 0.2], [0.3, 0.4]], "bias": [0.0, 0.5],
                  "vocab": {"a": 0, "b": 1, "c": 2},
                  "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "oov": [0.0, 0.0]}
         assert SoftmaxClassifier.from_dict(valid).predict(["a", "zzz"]) in ("A", "B")
+        data = value if key is None else {**valid, key: value}
+        if value is MISSING:
+            del data[key]
         with pytest.raises(ValidationError):
-            SoftmaxClassifier.from_dict({**valid, key: value})
+            SoftmaxClassifier.from_dict(data)
 
 
 def reference_loss_and_grads(weights, bias, x, y):
