@@ -224,13 +224,14 @@ _ANY = (None, None, None)
 _RUN = (("run-experiment",), None, None)
 _CRF = (None, ("crf",), None)
 _CLF = (None, ("textclf",), None)
+_OPERATOR = (("run-experiment",), None, tuple(m.value for m in aug.Method))
 CONFIG_KEYS = {
     "train": _ANY, "dev": _RUN, "schema": _ANY, "seed": _ANY, "model": _RUN, "outdir": _RUN,
     "model_out": (("train-crf", "train-clf"), None, None),
     "epochs": _ANY, "learning_rate": _ANY, "decay": _CRF, "l2": _CRF,
     "dim": _CLF, "epsilon": _CLF, "adv_weight": _CLF, "embeddings": _CLF,
-    "augment.method": _RUN, "augment.target_class": _RUN, "augment.n_samples": _RUN,
-    "augment.per_sentence": _RUN, "entities": (("run-experiment",), None, ("er",)),
+    "augment.method": _RUN, "augment.target_class": _OPERATOR, "augment.n_samples": _OPERATOR,
+    "augment.per_sentence": _OPERATOR, "entities": (("run-experiment",), None, ("er",)),
     "offline": (("run-experiment",), None, ("llm",)),
     "llm.endpoint": (("run-experiment",), None, ("llm",)),
 }
@@ -242,8 +243,10 @@ def _check_readers(config: dict[str, str], scope: int, actual: str, label: str =
     for key in config:
         readers = CONFIG_KEYS[key][scope]
         if readers is not None and actual not in readers:
-            raise ConfigurationError(f"config key {key!r} is read only by {label}"
-                                     f"{' and '.join(readers)}, not by {where or label + actual}")
+            names = (readers[0] if len(readers) == 1
+                     else f"{', '.join(readers[:-1])} and {readers[-1]}")
+            raise ConfigurationError(f"config key {key!r} is read only by {label}{names}, "
+                                     f"not by {where or label + actual}")
 
 
 def _check_config(config: dict[str, str], command: str, model: str) -> None:

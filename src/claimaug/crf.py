@@ -4,7 +4,8 @@ Features per position: the word itself, suffixes of length 1..3, an
 uppercase-initial flag, an all-uppercase flag, a digit flag, and a bigram
 conjunction of each with the previous token's value (a boundary symbol at
 position 0). Feature strings map to indices through an explicit dictionary,
-so scores are exactly reproducible. All dynamic programming is in log space.
+so scores are exactly reproducible. Training and the marginals run one scaled
+forward-backward recursion in probability space; Viterbi decoding adds scores.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class CrfModel:
     the next token's value. It depends on the feature index, never on the
     weights, which `train` and callers change in place. `_sequence_ids`
     holds the feature-id array of each token sequence `build` saw, keyed by
-    `tuple(texts)`, until `train` has compiled it.
+    `tuple(texts)`, until `_compile` takes it.
     """
 
     labels: tuple[str, ...]
@@ -222,91 +223,90 @@ class TrainConfig:
             raise ValidationError("hyperparameters must be positive (decay >= 0)")
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log sum exp over the last axis, stable in log space."""
-    m = np.maximum.reduce(a, axis=-1)
-    return m + np.log(np.add.reduce(np.exp(a - m[..., None]), axis=-1))
+def _forward_backward(emissions: np.ndarray, transitions: np.ndarray,
+                      marginals: bool = False):
+    """The scaled forward-backward recursion (Rabiner 1989) over one sentence's emissions.
 
+    `emissions` is [n, L], or [B, n, L] for B sentences of equal length. The
+    recursion runs in probability space: `p = exp(emissions - row max)` and
+    `moves = exp(transitions - max)` are taken once, and each forward
+    position is one vector-matrix product, one multiply, one sum (the scale
+    c_i) and one divide, so every alpha row sums to 1. log Z is the sum of
+    log c_i plus the shifts put back. A scale that is zero (every label path
+    underflowed) or not finite raises TrainingDiverged; there is no fallback
+    to log space.
 
-def _forward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Forward log scores for emissions [n, L] of one sentence or [B, n, L] of B of equal length.
-
-    Every position reuses the same buffers, passed as the ufuncs' positional
-    `out`. `scores[a, ..., b]` scores the move from label a to label b, so
-    the sum over a runs over axis 0, which numpy adds row by row, and for a
-    batch the rest of the buffer is one contiguous block. Summing over a
-    contiguous axis instead would add pairwise and round differently once
-    L >= 8.
+    Returns log Z, one per sentence. With `marginals` (one sentence only) it
+    returns `(log_z, unary, expected_moves)`: the [n, L] label marginals and
+    the [L, L] pairwise marginals summed over positions. The backward pass
+    keeps `ahead[i] = p[i] * beta[i] / c_i`, from which both come.
     """
-    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
-    maximum, total_of = np.maximum.reduce, np.add.reduce
-    n_labels = transitions.shape[0]
-    batch = emissions.shape[:-2]
-    alpha = np.empty_like(emissions)
-    # Position-major views: `positions` is [n, ..., L], `columns` holds each
-    # position's scores as [L, ..., 1].
-    positions = alpha.swapaxes(-2, 0)
-    columns = alpha.T.swapaxes(0, 1)[..., None]
-    by_position = emissions.swapaxes(-2, 0)
-    positions[0] = by_position[0]
-    moves = transitions.reshape((n_labels,) + (1,) * len(batch) + (n_labels,))
-    scores = np.empty((n_labels,) + batch + (n_labels,))
-    m = np.empty(batch + (n_labels,))
-    total = np.empty_like(m)
-    for previous, emission, out in zip(columns, by_position[1:], positions[1:]):
-        add(previous, moves, scores)
-        maximum(scores, 0, None, m)
-        subtract(scores, m, scores)
-        exp(scores, scores)
-        total_of(scores, 0, None, total)
-        log(total, total)
-        add(m, total, total)
-        add(total, emission, out)
-    return alpha
+    dot, multiply, divide = np.dot, np.multiply, np.divide
+    total_of, smallest = np.add.reduce, np.minimum.reduce
+    shift = np.maximum.reduce(emissions, -1, None, None, True)
+    p = np.exp(emissions - shift)
+    top = np.maximum.reduce(transitions, None)
+    moves = np.exp(transitions - top)
+    by_position = p.swapaxes(-2, 0)  # [n, ..., L]
+    batch = p.ndim > 2
+    alpha = np.empty(by_position.shape)
+    scales = np.empty(by_position.shape[:-1] + (1,))
+    alpha[0] = by_position[0]
+    previous = None
+    for i, (out, emission, scale) in enumerate(zip(alpha, by_position, scales)):
+        if previous is not None:
+            dot(previous, moves, out)
+            multiply(out, emission, out)
+        total_of(out, -1, None, scale, True)
+        if not (smallest(scale, None) if batch else scale[0]) > 0.0:
+            raise TrainingDiverged(f"forward scale at position {i} is zero or not finite")
+        divide(out, scale, out)
+        previous = out
+    n = len(alpha)
+    log_z = (total_of(np.log(scales), 0) + total_of(shift, -2))[..., 0] + (n - 1) * top
+    if not marginals:
+        return log_z
+    ahead = divide(p, scales, p)
+    beta = np.empty_like(p)
+    beta[-1] = 1.0
+    # Position i reads ahead[i + 1], writes beta[i] and then ahead[i], for i = n-2 .. 0.
+    for following, out, current in zip(ahead[:0:-1], beta[-2::-1], ahead[-2::-1]):
+        dot(moves, following, out)
+        multiply(current, out, current)
+    expected_moves = dot(alpha[:-1].T, ahead[1:])
+    multiply(expected_moves, moves, expected_moves)
+    return log_z, multiply(alpha, beta, beta), expected_moves
 
 
-def _backward(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Backward log scores of one sentence's emissions [n, L], reusing buffers like `_forward`.
-
-    The sum runs over axis 1, the contiguous one, as it always has.
-    """
-    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
-    maximum, total_of = np.maximum.reduce, np.add.reduce
-    beta = np.zeros_like(emissions)
-    scores = np.empty_like(transitions)
-    ahead = np.empty_like(emissions[0])
-    m = np.empty_like(ahead)
-    m_column = m[:, None]
-    # Position i reads emissions[i + 1] and beta[i + 1] and writes beta[i], for i = n-2 .. 0.
-    for emission, following, out in zip(emissions[:0:-1], beta[:0:-1], beta[-2::-1]):
-        add(emission, following, ahead)
-        add(transitions, ahead, scores)
-        maximum(scores, 1, None, m)
-        subtract(scores, m_column, scores)
-        exp(scores, scores)
-        total_of(scores, 1, None, out)
-        log(out, out)
-        add(m, out, out)
-    return beta
-
-
-def _gold_score(emissions: np.ndarray, transitions: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Score of the label path y [..., n] under emissions [..., n, L]."""
-    unary = emissions.reshape(-1, emissions.shape[-1])[np.arange(y.size), y.ravel()]
-    return unary.reshape(y.shape).sum(axis=-1) + transitions[y[..., :-1], y[..., 1:]].sum(axis=-1)
+def _gold_score(emissions: np.ndarray, transitions: np.ndarray, gold: np.ndarray,
+                pairs: np.ndarray) -> float:
+    """Total score of the gold paths: `gold` and `pairs` index the flattened arrays."""
+    total_of = np.add.reduce
+    return float(total_of(emissions.take(gold), None) + total_of(transitions.take(pairs), None))
 
 
 @dataclass(frozen=True)
 class _Compiled:
-    """Sentences compiled against one model's feature index and label set.
+    """Sentences compiled against one model, everything an SGD step needs but the weights.
 
-    `feature_ids[k]` is an int32 [n, 14] array holding the id of each
-    position's feature strings, -1 where the model lacks the feature;
-    `label_ids[k]` holds the n gold label ids.
+    Sentence k's arrays sit at index k of four lists; `compiled[k]` gives
+    them as one tuple. Numpy arrays are not tracked by the garbage
+    collector, so compiling adds no long-lived objects for it to walk.
+    `rows[k]` are its distinct feature ids, sorted, -1 first if the model
+    lacks a feature; `local[k]` (int32 [14, n], feature-major like
+    `_emissions`) indexes them, so `rows[k][local[k]].T` are the `[n, 14]`
+    ids of each position's feature strings. `gold[k][i] = i*L + y_i` and
+    `pairs[k][i] = y_i*L + y_(i+1)` index the gold labels in the flattened
+    [n, L] emissions and the gold moves in the flattened [L, L] transitions.
     """
 
-    feature_ids: list[np.ndarray]
-    label_ids: list[np.ndarray]
+    rows: list[np.ndarray]
+    local: list[np.ndarray]
+    gold: list[np.ndarray]
+    pairs: list[np.ndarray]
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows[k], self.local[k], self.gold[k], self.pairs[k]
 
 
 def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
@@ -334,21 +334,31 @@ def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
 
 def _compile(model: CrfModel,
              data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
-    """Map each (texts, labels) pair to feature-id and label-id arrays, once.
+    """Compile each (texts, labels) pair into the arrays an SGD step reads, once.
 
-    A sequence that `build` already mapped takes its ids from the model's memo.
+    A sequence that `build` already mapped takes its ids out of the model's
+    memo, so the ids and their compiled form are not both held for long.
+    Everything here depends only on the sentence, so `train` does it once
+    rather than on every step of every epoch.
     """
     known = model._sequence_ids
-    feature_ids, label_ids = [], []
+    n_labels = model.n_labels
+    compiled = _Compiled([], [], [], [])
     for k, (texts, labels) in enumerate(data):
         if len(texts) != len(labels):
             raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
         if not texts:
             raise ValidationError(f"sequence {k} is empty")
-        ids = known.get(tuple(texts))
-        feature_ids.append(_feature_ids(model, texts) if ids is None else ids)
-        label_ids.append(np.array(model.label_ids(labels), dtype=np.intp))
-    return _Compiled(feature_ids, label_ids)
+        ids = known.pop(tuple(texts), None)
+        if ids is None:
+            ids = _feature_ids(model, texts)
+        rows, local = np.unique(ids.T, return_inverse=True)
+        y = np.array(model.label_ids(labels), dtype=np.int32)
+        compiled.rows.append(rows)
+        compiled.local.append(local.reshape(ids.T.shape).astype(np.int32))
+        compiled.gold.append(np.arange(len(y), dtype=np.int32) * n_labels + y)
+        compiled.pairs.append(y[:-1] * n_labels + y[1:])
+    return compiled
 
 
 def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -367,71 +377,47 @@ def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
-    """log Z by the forward recursion, stable in log space."""
+    """log Z by the scaled forward recursion."""
     emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
-    alpha = _forward(emissions, model.transitions)
-    return float(_logsumexp(alpha[-1]))
+    return float(_forward_backward(emissions, model.transitions))
 
 
 def sequence_score(model: CrfModel, texts: Sequence[str], labels: Sequence[str]) -> float:
-    compiled = _compile(model, [(texts, labels)])
-    emissions = _emissions(model.emission_weights, compiled.feature_ids[0])
-    return float(_gold_score(emissions, model.transitions, compiled.label_ids[0]))
+    rows, local, gold, pairs = _compile(model, [(texts, labels)])[0]
+    emissions = _emissions(model.emission_weights, rows[local].T)
+    return _gold_score(emissions, model.transitions, gold, pairs)
 
 
 def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     """Per-position label marginals; each row sums to 1."""
     emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
-    transitions = model.transitions
-    alpha = _forward(emissions, transitions)
-    beta = _backward(emissions, transitions)
-    log_z = _logsumexp(alpha[-1])
-    return np.exp(alpha + beta - log_z)
+    return _forward_backward(emissions, model.transitions, marginals=True)[1]
 
 
 def _sentence_gradient(emission_weights: np.ndarray, transitions: np.ndarray, l2: float,
-                       ids: np.ndarray, y: np.ndarray
+                       sentence: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """NLL of one compiled sentence, without the L2 term, and its gradient.
+    """NLL of one compiled sentence, `_Compiled[k]`, without the L2 term, and its gradient.
 
     Returns `(nll, rows, emission_grad, transition_grad)`. The gradient is
     model expectations (forward-backward marginals) minus empirical counts,
     plus l2 * weights; outside the feature ids `rows` and the transition
-    block it is just l2 * weights. Each coordinate adds its terms position
-    by position, in sentence order: per-sentence SGD amplifies rounding, so
-    another summation order would train a different model.
+    block it is just l2 * weights.
     """
-    rows, local = np.unique(ids, return_inverse=True)
-    local = local.reshape(ids.shape)
+    rows, local, gold, pairs = sentence
     table = emission_weights[rows]
     emission_grad = l2 * table
     first = 1 if rows[0] < 0 else 0  # id -1 stands for features the model lacks
     if first:
         table[0] = 0.0
-    emissions = table[local].sum(axis=-2)
-    alpha = _forward(emissions, transitions)
-    beta = _backward(emissions, transitions)
-    log_z = _logsumexp(alpha[-1])
-    nll = float(log_z - _gold_score(emissions, transitions, y))
-
-    unary = np.exp(alpha + beta - log_z)
-    unary[np.arange(len(y)), y] -= 1.0
-    np.add.at(emission_grad, local, unary[:, None, :])
-
-    # transition_grad = l2*T + p_0 + g_0 + p_1 + g_1 + ..., added left to right,
-    # where p_i are the pairwise marginals of positions (i, i+1) and g_i is
-    # -1 at the gold pair and -0.0 elsewhere (x + -0.0 == x for every x).
-    # `accumulate` adds strictly in order; `reduce` would add pairwise when
-    # L = 1 leaves the stack one-dimensional.
-    pairwise = alpha[:-1, :, None] + transitions
-    pairwise += (emissions[1:] + beta[1:])[:, None, :]
-    pairwise -= log_z
-    np.exp(pairwise, out=pairwise)
-    terms = np.full((2 * len(y) - 1,) + transitions.shape, -0.0)
-    np.multiply(l2, transitions, out=terms[0])
-    terms[1::2] = pairwise
-    terms[2::2][np.arange(len(y) - 1), y[:-1], y[1:]] = -1.0
-    transition_grad = np.add.accumulate(terms, axis=0)[-1]
+    emissions = np.add.reduce(table[local], 0)
+    log_z, unary, transition_grad = _forward_backward(emissions, transitions, marginals=True)
+    nll = float(log_z) - _gold_score(emissions, transitions, gold, pairs)
+    np.subtract.at(unary.reshape(-1), gold, 1.0)
+    np.add.at(emission_grad, local, unary)
+    if l2:
+        transition_grad += l2 * transitions
+    np.subtract.at(transition_grad.reshape(-1), pairs, 1.0)
     return nll, rows[first:], emission_grad[first:], transition_grad
 
 
@@ -451,9 +437,9 @@ def nll_and_gradient(model: CrfModel, texts: Sequence[str],
     Gradient = model expectations (forward-backward marginals) minus
     empirical counts, plus l2 * weights.
     """
-    compiled = _compile(model, [(texts, gold_labels)])
+    sentence = _compile(model, [(texts, gold_labels)])[0]
     nll, *sparse = _sentence_gradient(model.emission_weights, model.transitions, model.l2,
-                                      compiled.feature_ids[0], compiled.label_ids[0])
+                                      sentence)
     nll += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
     return nll, _dense_gradient(model, *sparse)
 
@@ -501,27 +487,37 @@ def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
     return [labels[i] for i in path]
 
 
+# Sequences per batched forward recursion in `dataset_nll`.
+_NLL_BATCH = 64
+
+
 def dataset_nll(model: CrfModel,
                 data: Sequence[tuple[Sequence[str], Sequence[str]]] | _Compiled) -> float:
     """NLL of every sequence plus the L2 term.
 
     `data` is (texts, labels) pairs or their `_compile` result. One
-    forward recursion runs per sequence length, over all sequences of that
-    length at once.
+    forward recursion runs over up to `_NLL_BATCH` sequences of one length
+    at once; the bound keeps the `[14, n, B, L]` emission gather small.
     """
     if not isinstance(data, _Compiled):
         data = _compile(model, data)
     by_length: dict[int, list[int]] = {}
-    for k, y in enumerate(data.label_ids):
-        by_length.setdefault(len(y), []).append(k)
+    for k, gold in enumerate(data.gold):
+        by_length.setdefault(len(gold), []).append(k)
     weights = model.emission_weights
     transitions = model.transitions
     total = 0.0
-    for members in by_length.values():
-        emissions = _emissions(weights, np.array([data.feature_ids[k] for k in members]))
-        y = np.array([data.label_ids[k] for k in members])
-        log_z = _logsumexp(_forward(emissions, transitions)[:, -1])
-        total += float(np.sum(log_z - _gold_score(emissions, transitions, y)))
+    for n, group in by_length.items():
+        for start in range(0, len(group), _NLL_BATCH):
+            members = group[start:start + _NLL_BATCH]
+            ids = np.array([data.rows[k][data.local[k]].T for k in members])
+            emissions = _emissions(weights, ids)
+            # Offset each sentence's gold indices to its block of the flattened batch.
+            offsets = np.arange(0, emissions.size, n * model.n_labels)[:, None]
+            gold = np.array([data.gold[k] for k in members]) + offsets
+            pairs = np.array([data.pairs[k] for k in members])
+            total += (float(np.add.reduce(_forward_backward(emissions, transitions)))
+                      - _gold_score(emissions, transitions, gold, pairs))
     return total + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
 
 
@@ -533,7 +529,9 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     NLL before training and after each epoch. The data is compiled once,
     which empties the model's per-sequence id memo; with l2 = 0 a step
     updates only the sequence's feature rows and the transitions, the only
-    weights with a nonzero gradient.
+    weights with a nonzero gradient. A step whose forward scale is zero or
+    not finite, or whose NLL is not finite, raises TrainingDiverged naming
+    the epoch and the step; the NLL after an epoch, naming the epoch.
     """
     if not data:
         raise ValidationError("empty training set")
@@ -548,13 +546,15 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            nll, rows, emission_grad, transition_grad = _sentence_gradient(
-                emission_weights, transitions, model.l2,
-                compiled.feature_ids[idx], compiled.label_ids[idx])
-            if not math.isfinite(nll):
+            try:
+                nll, rows, emission_grad, transition_grad = _sentence_gradient(
+                    emission_weights, transitions, model.l2, compiled[idx])
+                if not math.isfinite(nll):
+                    raise TrainingDiverged("NLL became non-finite")
+            except TrainingDiverged as exc:
                 raise TrainingDiverged(
-                    f"NLL became non-finite at epoch {epoch}, step {step} "
-                    f"(lr={config.learning_rate}, decay={config.decay})")
+                    f"{exc} at epoch {epoch}, step {step} "
+                    f"(lr={config.learning_rate}, decay={config.decay})") from None
             lr = config.learning_rate / (1.0 + config.decay * step)
             if model.l2:
                 model.weights -= lr * _dense_gradient(model, rows, emission_grad, transition_grad)
@@ -562,8 +562,10 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
                 emission_weights[rows] -= lr * emission_grad
                 transitions -= lr * transition_grad
             step += 1
-        epoch_nll = dataset_nll(model, compiled)
-        if not np.isfinite(epoch_nll):
-            raise TrainingDiverged(f"NLL became non-finite after epoch {epoch}")
-        history.append(epoch_nll)
+        try:
+            history.append(dataset_nll(model, compiled))
+            if not math.isfinite(history[-1]):
+                raise TrainingDiverged("NLL became non-finite")
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"{exc} after epoch {epoch}") from None
     return history

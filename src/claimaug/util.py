@@ -40,10 +40,11 @@ def atomic_write_text(path: str, text: str) -> None:
 def parse_kv_config(text: str) -> dict[str, str]:
     """Parse a `key = value` config file.
 
-    Blank lines and lines starting with `#` are ignored. Keys may repeat only
-    if that is meaningful to the caller; later values win here.
+    Blank lines and lines starting with `#` are ignored. A key set twice is
+    an error naming both lines: no value silently wins.
     """
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,6 +55,9 @@ def parse_kv_config(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParseError("empty key", line=lineno)
+        if key in lines:
+            raise ParseError(f"key {key!r} repeats line {lines[key]}", line=lineno)
+        lines[key] = lineno
         out[key] = value.strip()
     return out
 

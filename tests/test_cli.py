@@ -342,7 +342,10 @@ class TestEvalAndCompare:
 
 
 def experiment_config(tmp_path, fixture_dir, dev_dir, model, method="none", seed=7):
+    """A run-experiment config; the augment keys only for an operator, which reads them."""
     config = tmp_path / f"{model}-{method}.cfg"
+    augment = [] if method == "none" else [
+        f"augment.method = {method}", "augment.target_class = CLA", "augment.n_samples = 10"]
     config.write_text("\n".join([
         f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
         f"dev = {os.path.join(dev_dir, 'corpus.tsv')}",
@@ -351,12 +354,23 @@ def experiment_config(tmp_path, fixture_dir, dev_dir, model, method="none", seed
         f"seed = {seed}",
         "epochs = 3",
         "learning_rate = 0.3",
-        f"augment.method = {method}",
-        "augment.target_class = CLA",
-        "augment.n_samples = 10",
+        *augment,
         f"outdir = {tmp_path / ('out-' + model + '-' + method)}",
     ]) + "\n", encoding="utf-8")
     return str(config)
+
+
+def set_keys(config, text):
+    """Write the `key = value` lines of `text` into the config, in place of its lines for those keys.
+
+    A config may set each key once, so a test that overrides a key replaces its line.
+    """
+    lines = text.splitlines()
+    keys = {line.split("=", 1)[0].strip() for line in lines}
+    with open(config, encoding="utf-8") as f:
+        kept = [line.rstrip("\n") for line in f if line.split("=", 1)[0].strip() not in keys]
+    with open(config, "w", encoding="utf-8") as f:
+        f.write("\n".join(kept + lines) + "\n")
 
 
 @pytest.fixture
@@ -491,8 +505,7 @@ class TestExperiments:
         run(capsys, "build-lexicons", "--data", os.path.join(fixture_dir, "corpus.tsv"),
             "--schema", os.path.join(fixture_dir, "schema.cfg"), "--out", lexicons)
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "er")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"entities = {os.path.join(lexicons, 'entities.tsv')}\n")
+        set_keys(config, f"entities = {os.path.join(lexicons, 'entities.tsv')}\n")
         code, _, _ = run(capsys, "run-experiment", "--config", config)
         assert code == 0
         assert (tmp_path / "out-textclf-er" / "report.json").exists()
@@ -512,8 +525,7 @@ class TestExperiments:
     def test_unparsable_number_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
                                        model, method, key, value):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, model, method)
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"{key} = {value}\n")
+        set_keys(config, f"{key} = {value}\n")
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert f"{key} must be" in err and repr(value) in err
@@ -625,6 +637,7 @@ CONFIG_VALUES = {
     "llm.endpoint": st.just("http://llm.invalid/complete"),
 }
 TRAINED = {"train-crf": "crf", "train-clf": "textclf"}
+OPERATOR_KEYS = {"augment.target_class", "augment.n_samples", "augment.per_sentence"}
 
 
 class TestConfigCheck:
@@ -646,7 +659,11 @@ class TestConfigCheck:
         expected = check_outcome(oracle_check_config, config, command)
         got = check_outcome(cli._check_config, config, command, model)
         if command in TRAINED and "model" in config:
-            # The one intended difference: only run-experiment reads `model`.
+            # An intended difference: only run-experiment reads `model`.
+            assert got is not None
+        elif (command == "run-experiment" and config.get("augment.method", "none") == "none"
+              and OPERATOR_KEYS & keys):
+            # The other: under augment.method = none no operator reads its keys.
             assert got is not None
         elif shuffled:
             # Both name the first bad key of a scope; the old loops took the
@@ -691,8 +708,7 @@ class TestConfigCheck:
     def test_rejected_before_any_work(self, tmp_path, fixture_dir, dev_dir, capsys,
                                       monkeypatch, line, message):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+        set_keys(config, line + "\n")
 
         def no_work(*args, **kwargs):
             raise AssertionError("the corpus was loaded")
@@ -714,8 +730,7 @@ class TestConfigCheck:
                                              monkeypatch, model, line, reader):
         key = line.split(" = ")[0]
         config = experiment_config(tmp_path, fixture_dir, dev_dir, model)
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+        set_keys(config, line + "\n")
 
         def no_work(*args, **kwargs):
             raise AssertionError("the corpus was loaded")
@@ -764,8 +779,7 @@ class TestConfigCheck:
 
     def test_run_experiment_rejects_model_out(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"model_out = {tmp_path / 'model.json'}\n")
+        set_keys(config, f"model_out = {tmp_path / 'model.json'}\n")
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert ("config key 'model_out' is read only by train-crf and train-clf, "
@@ -781,8 +795,7 @@ class TestConfigCheck:
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf", method)
         value = {"entities": os.path.join(fixture_dir, "corpus.tsv"), "offline": "true",
                  "llm.endpoint": "http://llm.invalid/complete"}[key]
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"{key} = {value}\n")
+        set_keys(config, f"{key} = {value}\n")
 
         def no_work(*args, **kwargs):
             raise AssertionError("the corpus was loaded")
@@ -808,8 +821,7 @@ class TestConfigCheck:
     @pytest.mark.parametrize("key", ["train", "schema", "dev", "entities"])
     def test_missing_file_rejected(self, tmp_path, fixture_dir, dev_dir, capsys, key):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"{key} = {tmp_path / 'absent.tsv'}\n")
+        set_keys(config, f"{key} = {tmp_path / 'absent.tsv'}\n")
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert f"{key} file not found" in err
@@ -817,8 +829,7 @@ class TestConfigCheck:
     def test_missing_embeddings_rejected_before_augmenting(self, tmp_path, fixture_dir,
                                                           dev_dir, capsys, monkeypatch):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "vr-random")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write(f"embeddings = {tmp_path / 'missing.txt'}\n")
+        set_keys(config, f"embeddings = {tmp_path / 'missing.txt'}\n")
 
         def no_augmentation(*args, **kwargs):
             raise AssertionError("augmentation started")
@@ -842,16 +853,14 @@ class TestConfigCheck:
     @pytest.mark.parametrize("model", ["crf", "textclf"])
     def test_llm_runs_offline(self, tmp_path, fixture_dir, dev_dir, capsys, model):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, model, "llm")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write("offline = true\n")
+        set_keys(config, "offline = true\n")
         code, _, _ = run(capsys, "run-experiment", "--config", config)
         assert code == 0
         assert (tmp_path / f"out-{model}-llm" / "report.json").exists()
 
     def test_llm_with_several_copies_rejected(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "llm")
-        with open(config, "a", encoding="utf-8") as f:
-            f.write("offline = true\naugment.per_sentence = 2\n")
+        set_keys(config, "offline = true\naugment.per_sentence = 2\n")
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert "per_sentence must be 1 for method llm, got 2" in err
@@ -870,3 +879,52 @@ class TestConfigCheck:
         # The history starts with the NLL before the first epoch.
         assert len(epochs) == TrainConfig().epochs + 1 == 6
         assert json.loads((tmp_path / "crf-model.json").read_text())["l2"] == 0.0
+
+    @pytest.mark.parametrize("method_line", ["", "augment.method = none"])
+    @pytest.mark.parametrize("key,value", [("augment.target_class", "CLA"),
+                                           ("augment.n_samples", "50"),
+                                           ("augment.per_sentence", "2")])
+    def test_operator_keys_rejected_without_augmentation(self, tmp_path, fixture_dir, dev_dir,
+                                                         capsys, monkeypatch, method_line,
+                                                         key, value):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
+        set_keys(config, f"{method_line}\n{key} = {value}\n".lstrip("\n"))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert (f"config key {key!r} is read only by augment.method = aeda, vr-random, "
+                "vr-antonym, er and llm, not by augment.method = none") in err
+
+    @pytest.mark.parametrize("command", ["run-experiment", "train-crf"])
+    def test_repeated_key_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys, monkeypatch,
+                                  command):
+        config = tmp_path / "repeat.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"dev = {os.path.join(dev_dir, 'corpus.tsv')}" if command == "run-experiment"
+            else "# no dev set",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "epochs = 1", "", "epochs = 2",
+        ]) + "\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert "line 7: key 'epochs' repeats line 5" in err
+        assert out == ""
+
+    def test_repeated_schema_key_exits_2(self, tmp_path, fixture_dir, capsys):
+        schema = tmp_path / "schema.cfg"
+        text = open(os.path.join(fixture_dir, "schema.cfg"), encoding="utf-8").read()
+        schema.write_text(text + "outside = O\n", encoding="utf-8")
+        code, _, err = run(capsys, "split", "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", str(schema), "--out", str(tmp_path / "split.tsv"))
+        assert code == 2
+        assert "key 'outside' repeats line 1" in err

@@ -50,6 +50,11 @@ class TestSchema:
         with pytest.raises(ParseError):
             parse_schema_config("outside = O\ncategories = CLA\nbogus = 1\n")
 
+    def test_config_repeated_key(self):
+        text = "outside = O\ncategories = CLA\nfreq.CLA = 10\n# again\nfreq.CLA = 12\n"
+        with pytest.raises(ParseError, match=r"^line 5: key 'freq.CLA' repeats line 3$"):
+            parse_schema_config(text)
+
 
 # Labels from characters that the schema config writes and reads back
 # unchanged: no whitespace, comma, `=` or `#`.

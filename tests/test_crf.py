@@ -21,10 +21,10 @@ from claimaug.crf import (
     sequence_score,
     train,
     viterbi,
-    _backward,
+    _compile,
     _emissions,
     _feature_ids,
-    _forward,
+    _forward_backward,
     _sentence_gradient,
 )
 from claimaug.errors import TrainingDiverged, ValidationError
@@ -497,14 +497,24 @@ def reference_nll_and_gradient(model, texts, gold_labels):
 
 
 def reference_train(model, data, config):
-    """Per-sentence SGD on the dense gradient, in `train`'s shuffled order."""
+    """Per-sentence SGD on a dense F*L + L*L gradient, in `train`'s shuffled order.
+
+    Each step's gradient comes from `_sentence_gradient`, so comparing with
+    `train` checks only the sparse update bookkeeping, and that exactly.
+    """
+    compiled = _compile(model, data)
     rng = random.Random(config.seed)
     order = list(range(len(data)))
+    F, L = len(model.feature_index), model.n_labels
     step = 0
     for _ in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            _, grad = reference_nll_and_gradient(model, *data[idx])
+            _, rows, emission_grad, transition_grad = _sentence_gradient(
+                model.emission_weights, model.transitions, model.l2, compiled[idx])
+            grad = model.l2 * model.weights
+            grad[:F * L].reshape(F, L)[rows] = emission_grad
+            grad[F * L:] = transition_grad.ravel()
             lr = config.learning_rate / (1.0 + config.decay * step)
             model.weights -= lr * grad
             step += 1
@@ -515,6 +525,10 @@ def fixture_data():
     sentences = [s for doc in dataset.documents
                  for s in split_sentences(doc, dataset.schema)]
     return dataset.schema.labels, [(list(s.texts), list(s.token_labels)) for s in sentences]
+
+
+# The recursion against the log-space oracles: float agreement, not bits.
+RTOL, ATOL = 1e-9, 1e-12
 
 
 class TestMatchesDenseReference:
@@ -551,13 +565,76 @@ class TestMatchesDenseReference:
             gold = [labels[rng.randrange(len(labels))] for _ in texts]
             nll, grad = nll_and_gradient(model, texts, gold)
             expected_nll, expected_grad = reference_nll_and_gradient(model, texts, gold)
-            assert np.array_equal(grad, expected_grad)
-            assert nll == pytest.approx(expected_nll, rel=1e-12)
+            np.testing.assert_allclose(grad, expected_grad, rtol=RTOL, atol=ATOL)
+            assert nll == pytest.approx(expected_nll, rel=RTOL, abs=ATOL)
 
 
-# Oracles: the build pass and the SGD step as they ran before `build` filled
-# the id memos and the step reused its buffers. The current code must match
-# them bit for bit.
+class TestScaledRecursion:
+    """Edge cases of the scaled forward-backward recursion."""
+
+    def test_one_label(self):
+        # One label path: log Z is its score, every marginal is 1 and the gradient is 0.
+        texts = ["gut", "felt", "fine", "unseen"]
+        model = CrfModel.build(["A"], [texts[:3]])
+        model.weights = np.random.default_rng(0).normal(0.0, 2.0, size=model.weights.shape)
+        gold = ["A"] * len(texts)
+        assert log_partition(model, texts) == pytest.approx(
+            sequence_score(model, texts, gold), rel=RTOL, abs=ATOL)
+        np.testing.assert_allclose(posterior_marginals(model, texts), 1.0, rtol=RTOL)
+        nll, grad = nll_and_gradient(model, texts, gold)
+        assert nll == pytest.approx(0.0, abs=ATOL)
+        np.testing.assert_allclose(grad, 0.0, atol=ATOL)
+
+    def test_one_token(self):
+        model = CrfModel.build(["A", "B", "C"], [["gut"]])
+        model.weights = np.random.default_rng(1).normal(0.0, 2.0, size=model.weights.shape)
+        emissions = oracle_emissions(model, oracle_feature_ids(model, ["gut"]))
+        log_z, unary, moves = _forward_backward(emissions, model.transitions, marginals=True)
+        assert log_z == pytest.approx(_oracle_logsumexp(emissions[0]), rel=RTOL)
+        np.testing.assert_allclose(unary, np.exp(emissions - log_z), rtol=RTOL)
+        assert np.array_equal(moves, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("level", [700.0, -700.0])
+    def test_transitions_near_700(self, level):
+        # exp(+-700) is near the ends of float64; the shifts keep the recursion in range.
+        rng = np.random.default_rng(2)
+        for _ in range(10):
+            model, texts, _ = random_instance(random.Random(int(rng.integers(1000))))
+            model.transitions[:] = level + rng.normal(0.0, 2.0, size=model.transitions.shape)
+            assert log_partition(model, texts) == pytest.approx(
+                brute_log_partition(model, texts), rel=RTOL, abs=ATOL)
+            np.testing.assert_allclose(posterior_marginals(model, texts),
+                                       brute_marginals(model, texts), rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("emissions", [
+        [[0.0, -1000.0], [-1000.0, 0.0]],
+        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, -1000.0], [-1000.0, 0.0]]],
+        [[0.0, 0.0], [math.nan, 0.0]],
+    ], ids=["underflow", "underflow-in-batch", "nan"])
+    def test_zero_or_non_finite_scale_raises(self, emissions):
+        # In the underflow cases only label 0 and then label 1 has a probability
+        # above 0, and that move weighs exp(-1000) == 0; NaN fails the scale test.
+        transitions = np.array([[0.0, -1000.0], [-1000.0, 0.0]])
+        with pytest.raises(TrainingDiverged, match="forward scale at position 1 is zero "
+                                                   "or not finite"):
+            _forward_backward(np.array(emissions), transitions)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_in_training_names_epoch_and_step(self):
+        # With lr = 1000 the second epoch's step on the two-token sentence
+        # meets a model under which all its label paths underflow.
+        data = [(["Aa"], ["A"]), (["Aa", "bb"], ["B", "B"])]
+        model = CrfModel.build(["A", "B"], [texts for texts, _ in data])
+        with pytest.raises(TrainingDiverged, match=r"^forward scale at position 1 is zero or "
+                                                   r"not finite at epoch 1, step 3 \(lr=1000"):
+            train(model, data, TrainConfig(epochs=2, learning_rate=1000.0, decay=0.0, seed=0))
+
+
+# Oracles: the build pass as it ran before `build` filled the id memos, which
+# the current code must match bit for bit, and the log-space forward-backward
+# recursion and SGD step that the scaled recursion replaced, which it must
+# match to RTOL and ATOL.
 
 def oracle_build(labels, token_seqs, l2=0.0):
     """`CrfModel.build` that lists every feature string of every position."""
@@ -660,12 +737,17 @@ class TestMatchesOracles:
     def test_sentence_gradient(self, instance):
         model, texts, y = instance
         ids = _feature_ids(model, texts)
-        got = _sentence_gradient(model.emission_weights, model.transitions, model.l2, ids, y)
+        sentence = _compile(model, [(texts, [model.labels[i] for i in y])])[0]
+        rows, local, _, _ = sentence
+        assert local.dtype == np.int32
+        assert np.array_equal(rows[local].T, ids)
+        got = _sentence_gradient(model.emission_weights, model.transitions, model.l2, sentence)
         expected = oracle_sentence_gradient(model, ids, y)
-        assert math.copysign(1.0, got[0]) == math.copysign(1.0, expected[0])
-        assert got[0] == expected[0]
-        for array, oracle in zip(got[1:], expected[1:]):
-            assert_same_bits(array, oracle)
+        assert got[0] == pytest.approx(expected[0], rel=RTOL, abs=ATOL)
+        assert np.array_equal(got[1], expected[1])
+        for array, oracle in zip(got[2:], expected[2:]):
+            assert array.shape == oracle.shape
+            np.testing.assert_allclose(array, oracle, rtol=RTOL, atol=ATOL)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 9), st.integers(1, 12), st.integers(1, 4),
@@ -674,11 +756,17 @@ class TestMatchesOracles:
         rng = np.random.default_rng(seed)
         emissions = rng.normal(0.0, 3.0, size=(batch, n, n_labels))
         transitions = rng.normal(0.0, 3.0, size=(n_labels, n_labels))
-        assert_same_bits(_forward(emissions, transitions), oracle_forward(emissions, transitions))
-        assert_same_bits(_forward(emissions[0], transitions),
-                         oracle_forward(emissions[0], transitions))
-        assert_same_bits(_backward(emissions[0], transitions),
-                         oracle_backward(emissions[0], transitions))
+        log_z = _oracle_logsumexp(oracle_forward(emissions, transitions)[:, -1])
+        np.testing.assert_allclose(_forward_backward(emissions, transitions), log_z,
+                                   rtol=RTOL, atol=ATOL)
+        one = emissions[0]
+        alpha, beta = oracle_forward(one, transitions), oracle_backward(one, transitions)
+        pairwise = np.exp(alpha[:-1, :, None] + transitions
+                          + (one[1:] + beta[1:])[:, None, :] - log_z[0])
+        got_z, unary, moves = _forward_backward(one, transitions, marginals=True)
+        assert got_z == pytest.approx(log_z[0], rel=RTOL, abs=ATOL)
+        np.testing.assert_allclose(unary, np.exp(alpha + beta - log_z[0]), rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(moves, pairwise.sum(axis=0), rtol=RTOL, atol=ATOL)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(BUILD_TOKENS), max_size=8), max_size=6),

@@ -54,9 +54,9 @@ PINNED = {
     "run-experiment/textclf-adv/report.json":
         "7b40913736823ed148e71dd9e6a338015324842f816084e6cb79956c5901b7af",
     "train-crf/l2=0/model.json":
-        "11cd85e680dfde1d725badb27b74e90598732f43db0d67c6a9ca887ac6bb4b86",
+        "794ee2926b348fba719a66a451b386f1cea66dac05da0cb7d3ad63713ec82310",
     "train-crf/l2=0.1/model.json":
-        "d6e2feeedd28dde074dcc9f3c765fd295c7deca706515a25e956d127475d1e6c",
+        "5f1582b13de1fc3fa5a6fb3761a3ec3c46d9ab24b34fd7f64e84288195f3030c",
     "train-clf/textclf-adv/model.json":
         "8ed4959ab9a22edf0e2780421b9b3edd897ca5a1010e95f12b8413eac9766e0e",
     "train-crf/l2=0/predict":
