@@ -3,9 +3,11 @@
 Five operators produce label-preserving variants of a labeled sentence:
 punctuation insertion, verb replacement (random or antonym), entity
 replacement, and LLM contradiction. Each consumes an explicit RNG so a
-produced sample is a pure function of (source sentence, seed); the scheduler
-derives all seeds from one master seed, which makes whole corpora
-bit-reproducible regardless of worker count.
+produced sample is a pure function of (source sentence, seed), and each
+builds it with `_sample`, which keeps the source's ids and sentence label.
+Verbs come from the bundled lexicon and entities from one pattern-based
+annotator. The scheduler derives all seeds from one master seed, which makes
+whole corpora bit-reproducible regardless of worker count.
 """
 
 from __future__ import annotations
@@ -45,13 +47,16 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class AugmentedSample:
-    """One augmentation result; the sentence keeps its source's label."""
+    """One augmentation result; the sentence keeps its source's ids and label."""
 
     sentence: LabeledSentence
     method: Method
-    source_id: tuple[str, int]
     seed: int
     detail: dict = field(default_factory=dict)
+
+    @property
+    def source_id(self) -> tuple[str, int]:
+        return self.sentence.doc_id, self.sentence.sent_index
 
 
 @dataclass(frozen=True)
@@ -94,21 +99,17 @@ class EntitySpan:
     category: str
 
 
-EntityAnnotator = Callable[[Sequence[str]], list[EntitySpan]]
-
 _NUMBER_RE = re.compile(r"^\d+([.,]\d+)?$")
 _ATTACHED_PERCENT_RE = re.compile(r"^\d+(\.\d+)?%$")
 
 
-def _rebuild(source: LabeledSentence, texts: Sequence[str],
-             labels: Sequence[str]) -> LabeledSentence:
-    return LabeledSentence(
-        doc_id=source.doc_id,
-        sent_index=source.sent_index,
-        texts=texts,
-        token_labels=labels,
-        sentence_label=source.sentence_label,
-    )
+def _sample(source: LabeledSentence, texts: Sequence[str], labels: Sequence[str],
+            method: Method, seed: int, detail: dict) -> AugmentedSample:
+    """A sample of `source` with new tokens; the ids and sentence label are the source's."""
+    sentence = LabeledSentence(doc_id=source.doc_id, sent_index=source.sent_index,
+                               texts=texts, token_labels=labels,
+                               sentence_label=source.sentence_label)
+    return AugmentedSample(sentence, method, seed, detail)
 
 
 def aeda(sentence: LabeledSentence, rng: random.Random, seed: int = 0) -> AugmentedSample:
@@ -131,24 +132,8 @@ def aeda(sentence: LabeledSentence, rng: random.Random, seed: int = 0) -> Augmen
         labels.insert(position, sentence.sentence_label)
         positions.append(position)
 
-    return AugmentedSample(
-        sentence=_rebuild(sentence, texts, labels),
-        method=Method.AEDA,
-        source_id=(sentence.doc_id, sentence.sent_index),
-        seed=seed,
-        detail={"insert_positions": positions, "marks": marks},
-    )
-
-
-def _conjugate_any(base: str, tense: morph.Tense, lexicon: morph.VerbLexicon) -> str:
-    if base in lexicon.entries:
-        return lexicon.entries[base].form(base, tense)
-    return morph.regular_forms(base).form(base, tense)
-
-
-def _tense_roundtrips(base: str, tense: morph.Tense, lexicon: morph.VerbLexicon) -> bool:
-    detected = morph.detect_verb(_conjugate_any(base, tense, lexicon), lexicon)
-    return detected is not None and detected[1] is tense
+    return _sample(sentence, texts, labels, Method.AEDA, seed,
+                   {"insert_positions": positions, "marks": marks})
 
 
 @dataclass
@@ -158,8 +143,8 @@ class OperatorMemo:
     `per_texts` maps a sentence's token texts to what depends on them alone
     (its eligible verbs, or its checked entity spans); `candidates` maps a
     (base, tense) or (category, surface) pair to its replacement list. The
-    entries hold only for the lexicon, pool, annotator and dictionary they
-    were computed with, so one memo serves one operator of one run.
+    entries hold only for the lexicon, replacement source and dictionary
+    they were computed with, so one memo serves one operator of one run.
     """
 
     per_texts: dict = field(default_factory=dict)
@@ -186,10 +171,20 @@ def _eligible_verbs(texts: Sequence[str],
 def _verb_candidates(base: str, tense: morph.Tense, lexicon: morph.VerbLexicon,
                      replacement_source: Sequence[str] | morph.AntonymLexicon,
                      mode: Method) -> list[tuple[str, str]]:
-    """(new base, surface at `tense`) for every replacement that re-detects at `tense`."""
+    """(new base, surface at `tense`) for every replacement that re-detects at `tense`.
+
+    Every base comes from the lexicon: a pool base is a detected verb, and
+    every bundled antonym is a lexicon base.
+    """
     bases = replacement_source if mode is Method.VR_RANDOM else replacement_source.get(base)
-    return [(b, _conjugate_any(b, tense, lexicon)) for b in bases
-            if b != base and _tense_roundtrips(b, tense, lexicon)]
+    candidates = []
+    for new_base in bases:
+        if new_base != base:
+            surface = morph.conjugate(new_base, tense, lexicon)
+            detected = morph.detect_verb(surface, lexicon)
+            if detected is not None and detected[1] is tense:
+                candidates.append((new_base, surface))
+    return candidates
 
 
 def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
@@ -202,6 +197,7 @@ def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
     original); antonym mode draws from the original base's antonym list.
     Candidates whose conjugated surface would not be detected back at the
     same tense are skipped, so tense is preserved under re-detection too.
+    Every replacement base must be a lexicon base (`morph.conjugate`).
     Returns None when the sentence has no eligible verb or no candidate
     replacement exists. A `memo` shared by calls with the same lexicon,
     source and mode spares them the repeated lookups; the sample is the same.
@@ -226,14 +222,10 @@ def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
     texts = list(sentence.texts)
     original = texts[index]
     texts[index] = surface
-    return AugmentedSample(
-        sentence=_rebuild(sentence, texts, sentence.token_labels),
-        method=mode,
-        source_id=(sentence.doc_id, sentence.sent_index),
-        seed=seed,
-        detail={"replaced_index": index, "original": original, "replacement": surface,
-                "original_base": base, "replacement_base": new_base, "tense": tense.value},
-    )
+    return _sample(sentence, texts, sentence.token_labels, mode, seed,
+                   {"replaced_index": index, "original": original, "replacement": surface,
+                    "original_base": base, "replacement_base": new_base,
+                    "tense": tense.value})
 
 
 def default_entity_annotator(texts: Sequence[str]) -> list[EntitySpan]:
@@ -277,14 +269,12 @@ def default_entity_annotator(texts: Sequence[str]) -> list[EntitySpan]:
     return sorted(spans, key=lambda s: s.token_start)
 
 
-def build_entity_dictionary(sentences: Iterable[LabeledSentence],
-                            annotator: EntityAnnotator = default_entity_annotator,
-                            ) -> EntityDictionary:
+def build_entity_dictionary(sentences: Iterable[LabeledSentence]) -> EntityDictionary:
     """Collect every annotated entity surface form per category, deduplicated."""
     collected: dict[str, list[tuple[str, ...]]] = {}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for sentence in sentences:
-        for span in annotator(sentence.texts):
+        for span in default_entity_annotator(sentence.texts):
             surface = tuple(sentence.texts[span.token_start:span.token_end])
             key = (span.category, surface)
             if key not in seen:
@@ -305,40 +295,32 @@ def build_verb_pool(sentences: Iterable[LabeledSentence],
     return sorted(pool)
 
 
-def _validate_spans(spans: Sequence[EntitySpan], n: int) -> None:
-    ordered = sorted(spans, key=lambda s: s.token_start)
-    for span in ordered:
-        if not (0 <= span.token_start < span.token_end <= n):
-            raise ValidationError(f"entity span [{span.token_start},{span.token_end}) out of range")
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur.token_start < prev.token_end:
-            raise ValidationError("entity annotator returned overlapping spans")
+def _checked_spans(texts: Sequence[str], dictionary: EntityDictionary) -> list[EntitySpan]:
+    """The annotator's spans of `texts`; each category must be in `dictionary`.
 
-
-def _checked_spans(texts: Sequence[str], annotator: EntityAnnotator,
-                   dictionary: EntityDictionary) -> list[EntitySpan]:
-    spans = annotator(texts)
-    _validate_spans(spans, len(texts))
+    A dictionary read from an `--entities` file may lack a category.
+    """
+    spans = default_entity_annotator(texts)
     for span in spans:
         if span.category not in dictionary.entries:
             raise ConfigurationError(f"entity dictionary has no category {span.category!r}")
     return spans
 
 
-def entity_replace(sentence: LabeledSentence, annotator: EntityAnnotator,
-                   dictionary: EntityDictionary, rng: random.Random,
-                   seed: int = 0, memo: OperatorMemo | None = None) -> AugmentedSample | None:
-    """Swap one annotated entity for a same-category entity from the dictionary.
+def entity_replace(sentence: LabeledSentence, dictionary: EntityDictionary,
+                   rng: random.Random, seed: int = 0,
+                   memo: OperatorMemo | None = None) -> AugmentedSample | None:
+    """Swap one entity of `default_entity_annotator` for a same-category one.
 
-    Inserted tokens all take the label of the replaced span's first token.
-    Returns None when the sentence has no entities or the dictionary offers
-    no alternative to the original surface form. A `memo` shared by calls
-    with the same annotator and dictionary spares them the repeated
-    annotation; the sample is the same.
+    The replacement comes from the dictionary, and its tokens all take the
+    label of the replaced span's first token. Returns None when the sentence
+    has no entities or the dictionary offers no alternative to the original
+    surface form. A `memo` shared by calls with the same dictionary spares
+    them the repeated annotation; the sample is the same.
     """
     memo = memo if memo is not None else OperatorMemo()
     spans = _cached(memo.per_texts, sentence.texts,
-                    lambda: _checked_spans(sentence.texts, annotator, dictionary))
+                    lambda: _checked_spans(sentence.texts, dictionary))
     if not spans:
         return None
     span = spans[rng.randrange(len(spans))]
@@ -354,15 +336,10 @@ def entity_replace(sentence: LabeledSentence, annotator: EntityAnnotator,
         + list(sentence.texts[span.token_end:])
     labels = list(sentence.token_labels[:span.token_start]) + [label] * len(replacement) \
         + list(sentence.token_labels[span.token_end:])
-    return AugmentedSample(
-        sentence=_rebuild(sentence, texts, labels),
-        method=Method.ER,
-        source_id=(sentence.doc_id, sentence.sent_index),
-        seed=seed,
-        detail={"span_start": span.token_start, "span_end": span.token_end,
-                "category": span.category, "original": list(original),
-                "replacement": list(replacement)},
-    )
+    return _sample(sentence, texts, labels, Method.ER, seed,
+                   {"span_start": span.token_start, "span_end": span.token_end,
+                    "category": span.category, "original": list(original),
+                    "replacement": list(replacement)})
 
 
 # Pause before the k-th retry (k = 0, 1, ...): half of
@@ -412,13 +389,7 @@ def _llm_sample(sentence: LabeledSentence, client: LlmClient, variant: int,
     reply = llm_contradict(" ".join(sentence.texts), client, variant, seed=seed)
     texts = reply.split()
     labels = [sentence.sentence_label] * len(texts)
-    return AugmentedSample(
-        sentence=_rebuild(sentence, texts, labels),
-        method=Method.LLM,
-        source_id=(sentence.doc_id, sentence.sent_index),
-        seed=seed,
-        detail={"prompt_variant": variant},
-    )
+    return _sample(sentence, texts, labels, Method.LLM, seed, {"prompt_variant": variant})
 
 
 def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
@@ -446,7 +417,7 @@ def _make_operator(sentences: Sequence[LabeledSentence], config: AugmentConfig,
     if method is Method.ER:
         dictionary = entities if entities is not None else build_entity_dictionary(sentences)
         return lambda s, rng, seed, trial: entity_replace(
-            s, default_entity_annotator, dictionary, rng, seed=seed, memo=memo)
+            s, dictionary, rng, seed=seed, memo=memo)
     # Method.LLM
     if llm_client is None:
         raise ConfigurationError("llm augmentation needs a client (--offline or --llm-endpoint)")

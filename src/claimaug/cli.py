@@ -40,6 +40,7 @@ from .errors import (
     AugmentationError,
     ClaimaugError,
     ConfigurationError,
+    ParseError,
     TrainingDiverged,
 )
 from .llmclient import EchoLlmClient, HttpLlmClient
@@ -52,7 +53,20 @@ EXIT_DIVERGED = 4
 
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                             ) from None
+
+
+def _parse_file(path: str, parse: typing.Callable[[str], typing.Any]):
+    """`parse` of the file's text; its ParseError names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _load_schema(path: str) -> LabelSchema:
@@ -135,20 +149,23 @@ def cmd_build_lexicons(args) -> int:
 
 
 def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
+    """Parse `CATEGORY<TAB>entity tokens` lines, as `build-lexicons` writes them."""
     entries: dict[str, list[tuple[str, ...]]] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
-        category, _, form = raw.partition("\t")
+        category, tab, form = raw.partition("\t")
         tokens = tuple(form.split())
-        if tokens and tokens not in entries.setdefault(category, []):
+        if not tab or not category.strip() or not tokens:
+            raise ParseError("expected 'CATEGORY<TAB>entity tokens'", line=lineno)
+        if tokens not in entries.setdefault(category, []):
             entries[category].append(tokens)
     return aug.EntityDictionary(entries={c: tuple(v) for c, v in entries.items()})
 
 
 def _augment(sentences, config: aug.AugmentConfig, *, entities: str | None, offline: bool,
              llm_endpoint: str | None, workers: int) -> list[aug.AugmentedSample]:
-    dictionary = load_entity_dictionary_file(_read_text(entities)) if entities else None
+    dictionary = _parse_file(entities, load_entity_dictionary_file) if entities else None
     client = (EchoLlmClient() if offline
               else HttpLlmClient(llm_endpoint) if llm_endpoint else None)
     return aug.augment_minority(sentences, config, entities=dictionary, llm_client=client,
@@ -195,10 +212,13 @@ def cmd_make_fixture(args) -> int:
         for part in args.sizes.split(","):
             label, _, count = part.partition("=")
             try:
-                sizes[label.strip()] = int(count)
+                size = int(count)
             except ValueError:
+                size = -1
+            if size < 0:
                 raise ConfigurationError(
-                    f"--sizes part {part!r} is not LABEL=COUNT with an integer count") from None
+                    f"--sizes part {part!r} is not LABEL=COUNT with an integer count >= 0")
+            sizes[label.strip()] = size
     dataset, bookkeeping = synth.generate(sizes=sizes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_bytes(os.path.join(args.out, "corpus.tsv"),
@@ -364,7 +384,7 @@ def cmd_compare(args) -> int:
         name, _, path = spec_arg.partition("=")
         if not path:
             raise ConfigurationError(f"expected NAME=PATH, got {spec_arg!r}")
-        reports[name] = metrics_mod.MetricsReport.from_json(_read_text(path))
+        reports[name] = _parse_file(path, metrics_mod.MetricsReport.from_json)
     comparison = metrics_mod.compare(reports)
     output = comparison.to_json() if args.format == "json" else comparison.to_text()
     if args.out:

@@ -108,6 +108,13 @@ class CrfModel:
     _sequence_ids: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # Both `build` and `from_dict` construct through here, so a model
+        # that saves can also load.
+        if type(self.l2) not in (int, float) or not 0.0 <= self.l2 < math.inf:
+            raise ValidationError(f"model l2 must be finite and >= 0, got {self.l2!r}")
+        self.l2 = float(self.l2)
+
     @classmethod
     def build(cls, labels: Sequence[str], token_seqs: Sequence[Sequence[str]],
               l2: float = 0.0) -> "CrfModel":
@@ -181,9 +188,7 @@ class CrfModel:
     def from_dict(cls, data: dict) -> "CrfModel":
         check_model_dict(data, FORMAT_VERSION, {"labels", "l2", "feature_index", "weights"},
                          "labels")
-        labels, l2, index = data["labels"], data["l2"], data["feature_index"]
-        if type(l2) not in (int, float) or not 0.0 <= l2 < math.inf:
-            raise ValidationError(f"model l2 must be finite and >= 0, got {l2!r}")
+        labels, index = data["labels"], data["feature_index"]
         ids = list(index.values()) if type(index) is dict else None
         if (ids is None or not all(type(i) is int for i in ids)
                 or sorted(ids) != list(range(len(ids)))):
@@ -193,7 +198,7 @@ class CrfModel:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"model weights must be numbers: {exc}") from exc
         model = cls(labels=tuple(labels), feature_index=dict(index), weights=weights,
-                    l2=float(l2))
+                    l2=data["l2"])
         expected = len(model.feature_index) * model.n_labels + model.n_labels ** 2
         if model.weights.shape != (expected,):
             raise ValidationError(f"weight vector has {model.weights.size} entries, "

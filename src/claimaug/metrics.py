@@ -8,12 +8,13 @@ average over the categories only.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import LabelSchema
-from .errors import SchemaError, ValidationError
+from .errors import ParseError, SchemaError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,38 @@ class MetricsReport:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        per_class = {
-            label: ClassMetrics(m["precision"], m["recall"], m["f1"], m["support"])
-            for label, m in data["per_class"].items()
-        }
-        return cls(per_class=per_class,
-                   macro_precision=data["macro"]["precision"],
-                   macro_recall=data["macro"]["recall"],
-                   macro_f1=data["macro"]["f1"],
-                   absent=tuple(data.get("absent", ())),
-                   include_outside=bool(data.get("include_outside", True)))
+    def from_dict(cls, data: object) -> "MetricsReport":
+        """The report `to_dict` wrote; ParseError names the first key that is missing or wrong."""
+        _keys(data, "report", ("per_class", "macro", "absent", "include_outside"))
+        per_class = {}
+        for label, m in _keys(data["per_class"], "per_class", ()).items():
+            where = f"per_class {label!r}"
+            _keys(m, where, ("precision", "recall", "f1", "support"))
+            if type(m["support"]) is not int or m["support"] < 0:
+                raise ParseError(f"{where} support must be an integer >= 0, "
+                                 f"got {m['support']!r}")
+            per_class[label] = ClassMetrics(*_scores(m, where), m["support"])
+        macro = _scores(_keys(data["macro"], "macro", ("precision", "recall", "f1")), "macro")
+        absent = data["absent"]
+        if type(absent) is not list or not all(type(label) is str for label in absent):
+            raise ParseError(f"report absent must be a list of labels, got {absent!r}")
+        if type(data["include_outside"]) is not bool:
+            raise ParseError("report include_outside must be true or false, "
+                             f"got {data['include_outside']!r}")
+        return cls(per_class=per_class, macro_precision=macro[0], macro_recall=macro[1],
+                   macro_f1=macro[2], absent=tuple(absent),
+                   include_outside=data["include_outside"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise ParseError(f"report is not JSON: {exc}") from None
+        return cls.from_dict(data)
 
     def to_text(self) -> str:
         header = f"{'class':<10}{'precision':>10}{'recall':>10}{'f1':>10}{'support':>10}"
@@ -77,6 +92,25 @@ class MetricsReport:
         if self.absent:
             lines.append(f"absent from gold and predictions: {', '.join(self.absent)}")
         return "\n".join(lines) + "\n"
+
+
+def _keys(data: object, where: str, keys: Sequence[str]) -> dict:
+    """`data` if it is a JSON object holding every key in `keys`, else ParseError."""
+    if type(data) is not dict:
+        raise ParseError(f"{where} must be a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ParseError(f"{where} lacks {', '.join(missing)}")
+    return data
+
+
+def _scores(data: dict, where: str) -> tuple[float, float, float]:
+    """Precision, recall and F1 of `data`, each a finite number."""
+    values = data["precision"], data["recall"], data["f1"]
+    for key, value in zip(("precision", "recall", "f1"), values):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ParseError(f"{where} {key} must be a finite number, got {value!r}")
+    return values
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:

@@ -20,7 +20,6 @@ from claimaug.augment import (
     aeda,
     augment_minority,
     build_entity_dictionary,
-    default_entity_annotator,
     entity_replace,
     llm_contradict,
     verb_replace,
@@ -137,8 +136,8 @@ def test_c3_golden_augmentations():
             "PERCENT": (("80%",), ("100", "percent")),
             "PROPER": (("IBS",), ("Sibo.",)),
         })
-        sample = entity_replace(golden_sentence(ATTACHED), default_entity_annotator,
-                                dictionary, ScriptedRng(randrange=[0, 0]))
+        sample = entity_replace(golden_sentence(ATTACHED), dictionary,
+                                ScriptedRng(randrange=[0, 0]))
         assert " ".join(sample.sentence.texts) \
             == "100 percent of people diagnosed with IBS have Sibo."
 
@@ -228,12 +227,10 @@ def test_c4_operator_invariants():
             attempts += 1
             assert attempts < 5000
             src = fresh(with_entity=True)
-            sample = entity_replace(src, default_entity_annotator, dictionary,
-                                    random.Random(attempts), seed=attempts)
+            sample = entity_replace(src, dictionary, random.Random(attempts), seed=attempts)
             if sample is None:
                 continue
-            again = entity_replace(src, default_entity_annotator, dictionary,
-                                   random.Random(attempts), seed=attempts)
+            again = entity_replace(src, dictionary, random.Random(attempts), seed=attempts)
             assert _sample_key(sample) == _sample_key(again)
             assert sample.sentence.sentence_label == src.sentence_label
             category = sample.detail["category"]

@@ -24,7 +24,6 @@ from claimaug.errors import (
     AugmentationError,
     AugmentationFailed,
     ConfigurationError,
-    ValidationError,
 )
 from conftest import MockLlmClient, make_sentence
 
@@ -110,6 +109,18 @@ class TestVerbReplace:
         sample = verb_replace(src, lexicon, ["cause"], Method.VR_RANDOM, random.Random(0))
         assert sample.sentence.token_labels == src.token_labels
 
+    def test_every_replacement_base_conjugates(self, lexicon, antonyms):
+        # Candidates are conjugated by `morph.conjugate`, which knows only lexicon
+        # bases, so every pool base must be one, and so must every bundled antonym
+        # (asserted for the data in test_morph.py).
+        every_surface = sentence_from(sorted(lexicon.reverse))
+        assert set(build_verb_pool([every_surface], lexicon)) <= set(lexicon.entries)
+        for base in antonyms.entries:
+            for tense in morph.Tense:
+                for _, surface in aug._verb_candidates(
+                        base, tense, lexicon, antonyms, Method.VR_ANTONYM):
+                    assert morph.detect_verb(surface, lexicon)[1] is tense
+
 
 class TestDefaultAnnotator:
     def test_percent_two_tokens(self):
@@ -162,38 +173,28 @@ class TestEntityReplace:
 
     def test_entity_free_returns_none(self):
         src = sentence_from(["no", "entities", "here"])
-        assert entity_replace(src, default_entity_annotator, self.dictionary,
-                              random.Random(0)) is None
+        assert entity_replace(src, self.dictionary, random.Random(0)) is None
 
     def test_single_candidate_returns_none(self):
         src = sentence_from(["about", "80", "%", "sure"])
         single = EntityDictionary(entries={"PERCENT": (("80", "%"),),
                                            "CARDINAL": (("20",),),
                                            "PROPER": (("IBS",),)})
-        assert entity_replace(src, default_entity_annotator, single,
-                              random.Random(0)) is None
+        assert entity_replace(src, single, random.Random(0)) is None
 
     def test_missing_category_is_configuration_error(self):
         src = sentence_from(["about", "80", "%", "sure"])
         missing = EntityDictionary(entries={"PROPER": (("IBS",),)})
         with pytest.raises(ConfigurationError):
-            entity_replace(src, default_entity_annotator, missing, random.Random(0))
+            entity_replace(src, missing, random.Random(0))
 
     def test_replacement_swaps_and_relabels(self):
         src = sentence_from(["about", "80", "%", "sure"], label="EXP")
-        sample = entity_replace(src, default_entity_annotator, self.dictionary,
-                                random.Random(0))
+        sample = entity_replace(src, self.dictionary, random.Random(0))
         assert sample.detail["category"] == "PERCENT"
         assert sample.detail["replacement"] == ["100", "percent"]
         assert sample.sentence.texts == ("about", "100", "percent", "sure")
         assert set(sample.sentence.token_labels) == {"EXP"}
-
-    def test_overlapping_annotator_rejected(self):
-        def bad_annotator(texts):
-            return [EntitySpan(0, 2, "PROPER"), EntitySpan(1, 3, "PROPER")]
-        src = sentence_from(["a", "b", "c"])
-        with pytest.raises(ValidationError):
-            entity_replace(src, bad_annotator, self.dictionary, random.Random(0))
 
 
 class TestLlm:
@@ -400,7 +401,7 @@ class TestPerRunMemo:
             dictionary = build_entity_dictionary(sentences)
 
             def fresh(s, rng, seed):
-                return entity_replace(s, default_entity_annotator, dictionary, rng, seed=seed)
+                return entity_replace(s, dictionary, rng, seed=seed)
         else:
             source = (build_verb_pool(sentences, lexicon) if method is Method.VR_RANDOM
                       else antonyms)

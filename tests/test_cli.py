@@ -60,7 +60,8 @@ class TestMakeFixtureAndStats:
         assert stats["n_unique_words"] == bookkeeping["n_unique_words"]
         assert stats["label_dist"] == bookkeeping["label_token_dist"]
 
-    @pytest.mark.parametrize("sizes,part", [("CLA=x", "CLA=x"), ("CLA=4,EXP", "EXP")])
+    @pytest.mark.parametrize("sizes,part", [("CLA=x", "CLA=x"), ("CLA=4,EXP", "EXP"),
+                                            ("CLA=-5,O=3", "CLA=-5")])
     def test_unparsable_sizes_exit_2(self, tmp_path, capsys, sizes, part):
         code, _, err = run(capsys, "make-fixture", "--seed", "1",
                            "--out", str(tmp_path / "fx"), "--sizes", sizes)
@@ -189,6 +190,20 @@ class TestAugmentCommand:
         assert len(replacements) == 5
         assert all(" ".join(r) in entities.read_text() for r in replacements)
 
+    @pytest.mark.parametrize("line", ["PROPER IBS", "PROPER\t", "\tIBS"])
+    def test_malformed_entities_line_exits_2(self, fixture_dir, tmp_path, capsys, line):
+        entities = tmp_path / "entities.tsv"
+        entities.write_text(f"CARDINAL\t12345\n\n{line}\nPROPER\tQwv\n", encoding="utf-8")
+        out = tmp_path / "er"
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "er", "--target-class", "CLA", "--n-samples", "5",
+                           "--seed", "1", "--out", str(out), "--entities", str(entities))
+        assert code == 2
+        assert f"{entities}: line 3: expected 'CATEGORY<TAB>entity tokens'" in err
+        assert not out.exists()
+
     def test_llm_offline_runs(self, fixture_dir, tmp_path, capsys):
         out = str(tmp_path / "llm")
         code, stdout, _ = self.augment(capsys, fixture_dir, out, method="llm", n="6")
@@ -304,6 +319,13 @@ class TestAugmentCommand:
         assert not (tmp_path / "w").exists()
 
 
+GOOD_REPORT = {
+    "per_class": {"CLA": {"precision": 50.0, "recall": 50.0, "f1": 50.0, "support": 2}},
+    "macro": {"precision": 50.0, "recall": 50.0, "f1": 50.0},
+    "absent": [], "include_outside": True,
+}
+
+
 class TestEvalAndCompare:
     def write_corpus(self, path, rows):
         blocks = ["\n".join(f"{t}\t{l}" for t, l in block) for block in rows]
@@ -328,6 +350,52 @@ class TestEvalAndCompare:
                            f"first={report_path}", f"second={report_path}")
         assert code == 0
         assert "first" in out and "second" in out
+
+    def compare_with_bad(self, tmp_path, capsys, data):
+        """Compare a well-formed report with one whose file holds the bytes `data`."""
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(GOOD_REPORT), encoding="utf-8")
+        bad.write_bytes(data)
+        code, _, err = run(capsys, "compare", "--reports", f"good={good}", f"bad={bad}")
+        assert code == 2
+        assert f"error: {bad}: " in err
+        return err
+
+    def test_well_formed_report_compares(self, tmp_path, capsys):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(GOOD_REPORT), encoding="utf-8")
+        code, out, _ = run(capsys, "compare", "--reports", f"a={path}", f"b={path}")
+        assert code == 0 and "50.0" in out
+
+    @pytest.mark.parametrize("data,message", [
+        (b"not json", "report is not JSON"),
+        (b"\xff{}", "not UTF-8 text"),
+        (b"[]", "report must be a JSON object, got []"),
+        (b"{}", "report lacks per_class, macro, absent, include_outside"),
+    ])
+    def test_unreadable_report_exits_2(self, tmp_path, capsys, data, message):
+        assert message in self.compare_with_bad(tmp_path, capsys, data)
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("per_class", "CLA", "f1"), "high",
+         "per_class 'CLA' f1 must be a finite number, got 'high'"),
+        (("per_class", "CLA", "recall"), None,
+         "per_class 'CLA' recall must be a finite number, got None"),
+        (("per_class", "CLA", "support"), 2.5,
+         "per_class 'CLA' support must be an integer >= 0, got 2.5"),
+        (("per_class",), [], "per_class must be a JSON object, got []"),
+        (("macro",), {"precision": 1.0}, "macro lacks recall, f1"),
+        (("absent",), "O", "report absent must be a list of labels, got 'O'"),
+        (("include_outside",), 1, "report include_outside must be true or false, got 1"),
+    ], ids=["string-f1", "null-recall", "float-support", "per-class-list", "macro-partial",
+            "absent-string", "include-outside-int"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, path, value, message):
+        report = json.loads(json.dumps(GOOD_REPORT))
+        owner = report
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        assert message in self.compare_with_bad(tmp_path, capsys, json.dumps(report).encode())
 
     def test_eval_length_mismatch_exits_2(self, tmp_path, capsys):
         schema = tmp_path / "schema.cfg"
@@ -436,6 +504,22 @@ class TestExperiments:
         assert code == 0
         assert model_out.exists()
         assert "epoch 0" in out
+
+    @pytest.mark.parametrize("l2", ["-0.001", "-0.5"])
+    def test_train_crf_negative_l2_exits_2(self, tmp_path, fixture_dir, capsys, l2):
+        config = tmp_path / "crf.cfg"
+        model_out = tmp_path / "crf-model.json"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "epochs = 2", f"l2 = {l2}",
+            f"model_out = {model_out}",
+        ]) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "train-crf", "--config", str(config))
+        assert code == 2
+        assert f"model l2 must be finite and >= 0, got {float(l2)!r}" in err
+        assert "epoch 0" not in out
+        assert not model_out.exists()
 
     @pytest.mark.parametrize("command,default_out", [("train-crf", "crf-model.json"),
                                                      ("train-clf", "clf-model.json")])

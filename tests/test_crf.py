@@ -923,6 +923,11 @@ class TestSerialization:
         data["l2"] = 1
         assert CrfModel.from_dict(data).l2 == 1.0
 
+    @pytest.mark.parametrize("l2", [-0.001, math.nan, math.inf])
+    def test_build_rejects_what_load_rejects(self, l2):
+        with pytest.raises(ValidationError, match="l2 must be finite and >= 0"):
+            CrfModel.build(["A", "B"], [["x"]], l2=l2)
+
 
 class TestEmptyToken:
     def test_predict_rejects_an_empty_token(self):
