@@ -122,7 +122,12 @@ def tiny_models(draw):
     """A model with 1-4 labels and a 1-5 token sentence, for enumeration.
 
     Half the models get Gaussian weights. The other half get small integer
-    weights: their sums are exact and equal scores are common.
+    weights: equal scores are common. The Gaussian weights are rounded to
+    multiples of 2**-20, so every score sums exactly in any order, as the
+    integer ones do. Unrounded, two sequences that tie exactly (a repeated
+    token can swap labels between positions with the same features) can sum
+    one ulp apart in `all_sequence_scores` and in `viterbi`, and the
+    tie-break then follows the rounding, not the label order.
     """
     labels = [f"L{i}" for i in range(draw(st.integers(1, 4)))]
     seen = draw(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4),
@@ -134,7 +139,7 @@ def tiny_models(draw):
         model.weights = np.array(values, dtype=np.float64)
     else:
         weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        model.weights = weights_rng.normal(0.0, 1.0, size=size)
+        model.weights = np.round(weights_rng.normal(0.0, 1.0, size=size) * 2.0 ** 20) / 2.0 ** 20
     texts = draw(st.lists(st.sampled_from(TOKENS + ["unseen", "ZZ"]), min_size=1, max_size=5))
     return model, texts
 
