@@ -207,7 +207,7 @@ def cmd_augment(args) -> int:
 
 def cmd_make_fixture(args) -> int:
     sizes = None
-    if args.sizes:
+    if args.sizes is not None:
         sizes = {}
         for part in args.sizes.split(","):
             label, _, count = part.partition("=")
@@ -218,7 +218,10 @@ def cmd_make_fixture(args) -> int:
             if size < 0:
                 raise ConfigurationError(
                     f"--sizes part {part!r} is not LABEL=COUNT with an integer count >= 0")
-            sizes[label.strip()] = size
+            label = label.strip()
+            if label in sizes:
+                raise ConfigurationError(f"--sizes names label {label!r} twice")
+            sizes[label] = size
     dataset, bookkeeping = synth.generate(sizes=sizes, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     atomic_write_bytes(os.path.join(args.out, "corpus.tsv"),

@@ -10,7 +10,6 @@ exactly against finite differences.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -198,13 +197,89 @@ class SoftmaxClassifier:
             return cls.from_dict(json.load(f))
 
 
-def _loss_and_dlogits(weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
-                      y: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy loss and its gradient w.r.t. the logits."""
-    p = softmax(weights @ x + bias)
-    loss = -float(np.log(max(p[y], 1e-300)))
-    p[y] -= 1.0
-    return loss, p
+def _nll(p_y: float) -> float:
+    return -float(np.log(max(p_y, 1e-300)))
+
+
+class _SgdStep:
+    """One example's gradient and SGD update, in arrays allocated once per training run.
+
+    Row 0 of each buffer is the clean point, row 1 the adversarial point. The
+    inputs carry a constant 1 after the d embedding values, so the outer
+    product's last column is the logit gradient itself: `grad[:, :d]` is the
+    weight gradient and `grad[:, d]` the bias gradient. Every float64
+    operation is the one the plain formulas do, in the same order, so the
+    weights come out with the same bits. Scalars are 0-d arrays and views
+    are taken once, because converting a scalar or slicing an array costs as
+    much as a ufunc call on these sizes.
+    """
+
+    def __init__(self, n_classes: int, dim: int, adv: AdvConfig | None,
+                 learning_rate: float = 1.0):
+        self.adv = adv if adv is not None and adv.active else None
+        self.learning_rate = np.array(learning_rate)
+        self.total = np.empty(())
+        self.dlogits = np.empty((2, n_classes))
+        self.inputs = np.ones((2, dim + 1))
+        self.outer = np.empty((2, n_classes, dim + 1))
+        self.grad = np.empty((n_classes, dim + 1))
+        self.d0, self.d1 = self.dlogits
+        self.x0, self.x1 = self.inputs[:, :dim]
+        self.d0_col = self.dlogits[0, :, None]
+        self.dW, self.db = self.grad[:, :dim], self.grad[:, dim]
+        if self.adv is not None:
+            self.epsilon = np.array(adv.epsilon)
+            self.dx = np.empty(dim)
+            self.d_col = self.dlogits[:, :, None]
+            self.inputs_row = self.inputs[:, None, :]
+            self.outer0, self.outer1 = self.outer
+            self.mix = np.array([1.0 - adv.adv_weight, adv.adv_weight])[:, None, None]
+
+    def _dlogits(self, weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
+                 out: np.ndarray) -> float:
+        """Write softmax(weights @ x + bias) minus one-hot(y) into `out`; return p[y]."""
+        np.dot(weights, x, out=out)
+        np.add(out, bias, out=out)
+        # The max is exact however it is found; indexing at argmax is the cheapest way.
+        np.subtract(out, out[out.argmax()], out=out)
+        np.exp(out, out=out)
+        np.add.reduce(out, out=self.total)
+        np.divide(out, self.total, out=out)
+        p_y = out[y]
+        out[y] = p_y - 1.0
+        return p_y
+
+    def gradients(self, weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
+                  y: int) -> tuple[float, float | None]:
+        """Write the (mixed) gradients into `grad`; return p[y] clean and adversarial.
+
+        The adversarial p[y] is None when adversarial training is off.
+        """
+        self.x0[:] = x
+        p_y = self._dlogits(weights, bias, self.x0, y, self.d0)
+        if self.adv is None:
+            np.multiply(self.d0_col, self.inputs[0], out=self.grad)
+            return p_y, None
+        # FGSM: x + epsilon * sign(input gradient at the clean point).
+        dx = self.dx
+        np.dot(weights.T, self.d0, out=dx)
+        np.sign(dx, out=dx)
+        np.multiply(dx, self.epsilon, out=dx)
+        np.add(self.x0, dx, out=self.x1)
+        p_adv_y = self._dlogits(weights, bias, self.x1, y, self.d1)
+        np.multiply(self.d_col, self.inputs_row, out=self.outer)
+        np.multiply(self.outer, self.mix, out=self.outer)
+        np.add(self.outer0, self.outer1, out=self.grad)
+        return p_y, p_adv_y
+
+    def __call__(self, weights: np.ndarray, bias: np.ndarray, x: np.ndarray,
+                 y: int) -> tuple[float, float | None]:
+        """Update `weights` and `bias` in place by one SGD step; return the two p[y]."""
+        p = self.gradients(weights, bias, x, y)
+        np.multiply(self.grad, self.learning_rate, out=self.grad)
+        np.subtract(weights, self.dW, out=weights)
+        np.subtract(bias, self.db, out=bias)
+        return p
 
 
 def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
@@ -215,17 +290,16 @@ def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: i
     With adversarial training active the perturbation direction, the input
     gradient at the clean point, is treated as constant (standard
     signed-gradient practice), so the mixture gradient is the weighted sum
-    of the clean and adversarial-point gradients.
+    of the clean and adversarial-point gradients. Training runs the same
+    arithmetic through `_SgdStep`.
     """
-    loss, d = _loss_and_dlogits(weights, bias, x, y)
-    if adv is None or not adv.active:
-        return loss, d[:, None] * x, d
-    x_adv = fgsm_perturb(x, weights.T @ d, adv.epsilon)
-    adv_loss, d_adv = _loss_and_dlogits(weights, bias, x_adv, y)
-    w = adv.adv_weight
-    return ((1.0 - w) * loss + w * adv_loss,
-            (1.0 - w) * (d[:, None] * x) + w * (d_adv[:, None] * x_adv),
-            (1.0 - w) * d + w * d_adv)
+    step = _SgdStep(*weights.shape, adv)
+    p_y, p_adv_y = step.gradients(weights, bias, x, y)
+    loss = _nll(p_y)
+    if p_adv_y is not None:
+        w = adv.adv_weight
+        loss = (1.0 - w) * loss + w * _nll(p_adv_y)
+    return loss, step.dW, step.db
 
 
 def example_loss(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
@@ -265,12 +339,13 @@ def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
     ys = [class_ids[l] for l in labels]
     rng = random.Random(derive_seed(config.seed, "shuffle"))
     order = list(range(len(xs)))
+    step = _SgdStep(len(classes), d, adv, config.learning_rate)
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            loss, dW, db = example_gradients(weights, bias, xs[idx], ys[idx], adv)
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"loss became non-finite at epoch {epoch}")
-            weights -= config.learning_rate * dW
-            bias -= config.learning_rate * db
+            step(weights, bias, xs[idx], ys[idx])
+        # A non-finite logit makes every entry of the step's gradient NaN, so a
+        # divergence anywhere in the epoch leaves the weights non-finite.
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise TrainingDiverged(f"weights became non-finite in epoch {epoch}")
     return SoftmaxClassifier(classes=classes, weights=weights, bias=bias, table=table)

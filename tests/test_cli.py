@@ -69,6 +69,20 @@ class TestMakeFixtureAndStats:
         assert f"--sizes part {part!r}" in err
         assert not (tmp_path / "fx").exists()
 
+    def test_repeated_sizes_label_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "make-fixture", "--seed", "1",
+                           "--out", str(tmp_path / "fx"), "--sizes", "CLA=5,CLA=7,O=3")
+        assert code == 2
+        assert "--sizes names label 'CLA' twice" in err
+        assert not (tmp_path / "fx").exists()
+
+    def test_empty_sizes_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "make-fixture", "--seed", "1",
+                           "--out", str(tmp_path / "fx"), "--sizes", "")
+        assert code == 2
+        assert "--sizes part ''" in err
+        assert not (tmp_path / "fx").exists()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "stats", "--data", str(tmp_path / "nope.tsv"),
                            "--schema", str(tmp_path / "nope.cfg"))
@@ -490,6 +504,21 @@ class TestExperiments:
         code, _, _ = run(capsys, "train-clf", "--config", str(config))
         assert code == 0
         assert model_out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_clf_divergence_exits_4(self, tmp_path, fixture_dir, capsys):
+        config = tmp_path / "clf.cfg"
+        model_out = tmp_path / "clf-model.json"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "epochs = 3", "learning_rate = 1e308",
+            f"model_out = {model_out}",
+        ]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "train-clf", "--config", str(config))
+        assert code == 4
+        assert "error: weights became non-finite in epoch 0" in err
+        assert not model_out.exists()
 
     def test_train_crf_writes_model_and_history(self, tmp_path, fixture_dir, capsys):
         config = tmp_path / "crf.cfg"

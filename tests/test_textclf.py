@@ -190,8 +190,9 @@ class TestTraining:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts(self):
+        # The weights overflow within the first epoch; the check after it names it.
         seqs, labels = toy_data()
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(TrainingDiverged, match=r"^weights became non-finite in epoch 0$"):
             train_classifier(seqs, labels, ("A", "B"),
                              ClfTrainConfig(epochs=50, learning_rate=1e308, seed=0))
 
@@ -362,5 +363,28 @@ class TestBitIdentity:
         config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
         model = train_classifier(seqs, labels, ("A", "B"), config, adv=adv)
         weights, bias = reference_train(seqs, labels, ("A", "B"), config, adv)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.bias, bias)
+
+    @settings(max_examples=200, deadline=None)
+    @given(C=st.integers(2, 6), d=st.integers(1, 40), epochs=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+           learning_rate=st.sampled_from([0.05, 0.5, 3.0]), adv=st.one_of(
+               st.none(),
+               st.builds(AdvConfig, epsilon=st.just(0.0), adv_weight=st.floats(0.0, 1.0)),
+               st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.just(0.0)),
+               st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.just(1.0)),
+               st.builds(AdvConfig, epsilon=st.floats(1e-6, 1.0),
+                         adv_weight=st.floats(1e-6, 1.0))))
+    def test_training_equals_reference_over_draws(self, C, d, epochs, seed, n,
+                                                  learning_rate, adv):
+        rng = random.Random(seed)
+        classes = tuple(f"L{i}" for i in range(C))
+        seqs = [[rng.choice("abcdefghij") for _ in range(rng.randint(0, 6))]
+                for _ in range(n)]
+        labels = [classes[0], classes[1]] + [rng.choice(classes) for _ in range(n - 2)]
+        config = ClfTrainConfig(epochs=epochs, learning_rate=learning_rate, dim=d, seed=seed)
+        model = train_classifier(seqs, labels, classes, config, adv=adv)
+        weights, bias = reference_train(seqs, labels, classes, config, adv)
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.bias, bias)
