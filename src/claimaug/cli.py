@@ -42,6 +42,7 @@ from .errors import (
     ConfigurationError,
     ParseError,
     TrainingDiverged,
+    ValidationError,
 )
 from .llmclient import EchoLlmClient, HttpLlmClient
 from .util import atomic_write_bytes, atomic_write_text, parse_kv_config
@@ -76,6 +77,17 @@ def _load_schema(path: str) -> LabelSchema:
 def _load_dataset(path: str, schema: LabelSchema) -> Dataset:
     with open(path, "rb") as f:
         return parse_token_label_file(f.read(), schema)
+
+
+def _load_gold(path: str, schema: LabelSchema) -> Dataset:
+    """`_load_dataset` of a file to score against; one without tokens is rejected.
+
+    Scoring no tokens would write an all-zero report.
+    """
+    dataset = _load_dataset(path, schema)
+    if not any(doc.texts for doc in dataset.documents):
+        raise ValidationError(f"{path}: no tokens to score")
+    return dataset
 
 
 def _load_sentences(data_path: str,
@@ -368,8 +380,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     schema = _load_schema(args.schema)
-    gold = _load_dataset(args.gold, schema)
+    gold = _load_gold(args.gold, schema)
     pred = _load_dataset(args.pred, schema)
+    # Documents may be split differently; the token texts, read in order, must agree.
+    pairs = zip((t for doc in gold.documents for t in doc.texts),
+                (t for doc in pred.documents for t in doc.texts))
+    for i, (gold_text, pred_text) in enumerate(pairs):
+        if gold_text != pred_text:
+            raise ValidationError(f"predictions differ from gold at token index {i}: "
+                                  f"gold has {gold_text!r}, predictions have {pred_text!r}")
     gold_labels = [l for doc in gold.documents for l in doc.token_labels]
     pred_labels = [l for doc in pred.documents for l in doc.token_labels]
     report = metrics_mod.score(gold_labels, pred_labels, schema,
@@ -401,6 +420,7 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
     model_name = config.get("model", "textclf")
     _check_config(config, "run-experiment", model_name)
     schema, train_sentences = _load_sentences(config["train"], config["schema"])
+    dev = _load_gold(config["dev"], schema)
 
     if config.get("augment.method", "none") != "none":
         augment_config = _settings(aug.AugmentConfig, config, "augment.",
@@ -423,7 +443,6 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
         def predict(texts):
             return senttok.project_labels(clf.predict(texts), len(texts))
 
-    dev = _load_dataset(config["dev"], schema)
     gold: list[str] = []
     predicted: list[str] = []
     for doc in dev.documents:

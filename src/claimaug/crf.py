@@ -4,8 +4,12 @@ Features per position: the word itself, suffixes of length 1..3, an
 uppercase-initial flag, an all-uppercase flag, a digit flag, and a bigram
 conjunction of each with the previous token's value (a boundary symbol at
 position 0). Feature strings map to indices through an explicit dictionary,
-so scores are exactly reproducible. Training and the marginals run one scaled
-forward-backward recursion in probability space; Viterbi decoding adds scores.
+so scores are exactly reproducible. As CRFsuite stores each item's
+attributes once as integer ids, a per-model memo keeps the ids of each
+distinct token and of each distinct token pair packed as int32 bytes, so a
+sequence's [n, 14] ids are one join of memo entries. Training and the
+marginals run one scaled forward-backward recursion in probability space;
+Viterbi decoding adds scores.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from operator import concat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import TrainingDiverged, ValidationError
-from .util import atomic_write_text, check_model_dict
+from .util import atomic_write_text, check_model_dict, number_array
 
 BOS = "<BOS>"
 
@@ -68,20 +74,33 @@ def extract_features(texts: Sequence[str]) -> list[list[str]]:
     return out
 
 
-_MemoEntry = tuple[tuple[str, ...], list[int], tuple[str, ...]]
+# A packed id group: the ids of one position's seven unigrams or seven
+# bigrams as standard-size ("=") int32 values in native byte order, which
+# `np.frombuffer` reads as `np.int32` on every platform.
+_pack_ids = struct.Struct(f"={len(_TEMPLATES)}i").pack
+
+# The id `_feature_ids` gives each of a group's strings that the model lacks.
+_ABSENT = (-1,) * len(_TEMPLATES)
+
+# A packer maps a group's seven feature strings to their packed ids.
+_Packer = Callable[[Iterable[str]], bytes]
+
+# A `_token_memo` entry: (values, packed unigram ids, bigram prefixes, pairs),
+# where pairs maps a next token to the packed ids of the bigrams the two form.
+_MemoEntry = tuple[tuple[str, ...], bytes, tuple[str, ...], dict[str, bytes]]
 
 
-def _memo_entry(token: str, feature_id: Callable[[str], int]) -> _MemoEntry:
-    """A `_token_memo` entry: the token's values, unigram ids and bigram prefixes.
+def _memo_entry(token: str, pack: _Packer) -> _MemoEntry:
+    """A new `_token_memo` entry for `token`, with no pairs yet.
 
-    `feature_id` maps a unigram string to its id. Only a memo miss comes
+    `pack` gives the ids of the unigram strings. Only a memo miss comes
     here, so this is where an empty token is rejected.
     """
     if not token:
         raise ValidationError("empty token")
     values = _values(token)
-    return (values, [feature_id(f"{name}={value}") for name, value in zip(_TEMPLATES, values)],
-            _bigram_prefixes(values))
+    return (values, pack(f"{name}={value}" for name, value in zip(_TEMPLATES, values)),
+            _bigram_prefixes(values), {})
 
 
 @dataclass
@@ -89,14 +108,17 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights. Two memos are never serialized. `_token_memo`
-    maps each distinct token to `(values, unigram_ids, bigram_prefixes)`:
-    its seven template values, the ids of its seven unigram strings, and the
-    seven bigram strings it starts as the previous token, each missing only
-    the next token's value. It depends on the feature index, never on the
-    weights, which `train` and callers change in place. `_sequence_ids`
-    holds the feature-id array of each token sequence `build` saw, keyed by
-    `tuple(texts)`, until `_compile` takes it.
+    L*L transition weights. Three memos are never serialized. `_token_memo`
+    maps each distinct token to `(values, unigram_ids, bigram_prefixes,
+    pairs)`: its seven template values, the packed int32 ids of its seven
+    unigram strings, the seven bigram strings it starts as the previous
+    token (each missing only the next token's value), and a dict from each
+    token seen after it to the packed ids of the seven bigrams of that pair.
+    `_start_pairs` is the same pairs dict for the sentence start. Both hold
+    ids, never weights, which `train` and callers change in place; they grow
+    by about 100 bytes per distinct token pair and go with the model.
+    `_sequence_ids` holds the feature-id array of each token sequence
+    `build` saw, keyed by `tuple(texts)`, until `_compile` takes it.
     """
 
     labels: tuple[str, ...]
@@ -104,6 +126,8 @@ class CrfModel:
     weights: np.ndarray
     l2: float = 0.0
     _token_memo: dict[str, _MemoEntry] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _start_pairs: dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _sequence_ids: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -122,32 +146,22 @@ class CrfModel:
 
         Ids follow first appearance in `extract_features` order: position by
         position, a position's unigrams and then its bigrams, each in
-        `_TEMPLATES` order. A token's `_token_memo` entry is made once, so
-        its unigram strings and bigram prefixes are formatted once; a bigram
-        is the previous token's prefix plus this token's value.
+        `_TEMPLATES` order. `_packed_ids` assigns them as it fills the
+        memos, so each distinct token's unigram strings and each distinct
+        token pair's bigram strings are formatted and looked up once.
         """
         model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0), l2=l2)
         index = model.feature_index
         add = index.setdefault
-        memo = model._token_memo
+
+        def pack(features: Iterable[str]) -> bytes:
+            return _pack_ids(*[add(feature, len(index)) for feature in features])
+
         sequence_ids = model._sequence_ids
         for texts in token_seqs:
             key = tuple(texts)
-            if key in sequence_ids:
-                continue
-            flat: list[int] = []
-            prefixes = _BOUNDARY_PREFIXES
-            for token in key:
-                entry = memo.get(token)
-                if entry is None:
-                    entry = memo[token] = _memo_entry(
-                        token, lambda feature: add(feature, len(index)))
-                values, unigram_ids, following = entry
-                flat += unigram_ids
-                flat += [add(prefix + value, len(index))
-                         for prefix, value in zip(prefixes, values)]
-                prefixes = following
-            sequence_ids[key] = np.array(flat, np.int32).reshape(-1, _N_FEATURES)
+            if key not in sequence_ids:
+                sequence_ids[key] = _as_ids(_packed_ids(model, key, pack))
         model.weights = np.zeros(len(index) * model.n_labels + model.n_labels ** 2)
         return model
 
@@ -193,10 +207,7 @@ class CrfModel:
         if (ids is None or not all(type(i) is int for i in ids)
                 or sorted(ids) != list(range(len(ids)))):
             raise ValidationError("feature ids must be exactly 0..F-1, each used once")
-        try:
-            weights = np.asarray(data["weights"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"model weights must be numbers: {exc}") from exc
+        weights = number_array(data["weights"], "weights", 1)
         model = cls(labels=tuple(labels), feature_index=dict(index), weights=weights,
                     l2=data["l2"])
         expected = len(model.feature_index) * model.n_labels + model.n_labels ** 2
@@ -314,27 +325,50 @@ class _Compiled:
         return self.rows[k], self.local[k], self.gold[k], self.pairs[k]
 
 
-def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
-    """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one.
+def _packed_ids(model: CrfModel, texts: Sequence[str], pack: _Packer) -> bytes:
+    """The ids of `extract_features(texts)` as packed int32 bytes, 14 per position.
 
-    The ids are those of `extract_features(texts)`. A token's values,
-    unigram ids and bigram prefixes come from the model's memo, so each
-    bigram key is one concatenation of the previous token's prefix and this
-    token's value. The ids go into one flat list and one array.
+    The one loop over a sequence's tokens: `build` passes a `pack` that
+    adds missing strings to the index, `_feature_ids` one that gives -1. Per
+    position it joins two packed groups: the token's unigram ids from its
+    `_token_memo` entry, and the bigram ids of the pair it forms with the
+    previous token (or the sentence start), from the previous entry's pairs.
+    A missing entry or pair is made once and kept, so a string is only
+    formatted and looked up the first time its token or pair appears.
     """
-    get = model.feature_index.get
     memo = model._token_memo
-    flat: list[int] = []
-    prefixes = _BOUNDARY_PREFIXES
+    parts: list[bytes] = []
+    append = parts.append
+    prefixes, pairs = _BOUNDARY_PREFIXES, model._start_pairs
     for token in texts:
         entry = memo.get(token)
         if entry is None:
-            entry = memo[token] = _memo_entry(token, lambda feature: get(feature, -1))
-        values, unigram_ids, following = entry
-        flat += unigram_ids
-        flat += [get(prefix + value, -1) for prefix, value in zip(prefixes, values)]
-        prefixes = following
-    return np.array(flat, np.int32).reshape(-1, _N_FEATURES)
+            entry = memo[token] = _memo_entry(token, pack)
+        values, unigram_ids, following, next_pairs = entry
+        bigram_ids = pairs.get(token)
+        if bigram_ids is None:
+            bigram_ids = pairs[token] = pack(map(concat, prefixes, values))
+        append(unigram_ids)
+        append(bigram_ids)
+        prefixes, pairs = following, next_pairs
+    return b"".join(parts)
+
+
+def _as_ids(packed: bytes) -> np.ndarray:
+    """The read-only int32 [n, 14] view of `_packed_ids` bytes."""
+    return np.frombuffer(packed, np.int32).reshape(-1, _N_FEATURES)
+
+
+def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
+    """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one.
+
+    The ids are those of `extract_features(texts)`, read from the model's
+    memos by `_packed_ids`. The array is a read-only view of one bytes
+    object; nothing writes to it.
+    """
+    get = model.feature_index.get
+    return _as_ids(_packed_ids(model, texts,
+                               lambda features: _pack_ids(*map(get, features, _ABSENT))))
 
 
 def _compile(model: CrfModel,

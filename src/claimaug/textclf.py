@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParseError, TrainingDiverged, ValidationError
-from .util import atomic_write_text, check_model_dict, derive_seed
+from .util import atomic_write_text, check_model_dict, derive_seed, number_array
 
 FORMAT_VERSION = 1
 
@@ -163,11 +163,8 @@ class SoftmaxClassifier:
     def from_dict(cls, data: dict) -> "SoftmaxClassifier":
         check_model_dict(data, FORMAT_VERSION,
                          {"classes", "weights", "bias", "vocab", "matrix", "oov"}, "classes")
-        try:
-            weights, bias, matrix, oov = [np.asarray(data[key], dtype=np.float64)
-                                          for key in ("weights", "bias", "matrix", "oov")]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"model arrays must be numbers: {exc}") from exc
+        weights, bias, matrix, oov = [number_array(data[key], key, ndim) for key, ndim in
+                                      (("weights", 2), ("bias", 1), ("matrix", 2), ("oov", 1))]
         if type(data["vocab"]) is not dict:
             raise ValidationError("model vocab must be an object")
         if matrix.size == 0:

@@ -6,6 +6,8 @@ import hashlib
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import ParseError, ValidationError
 
 
@@ -79,3 +81,32 @@ def check_model_dict(data: object, version: int, keys: set[str], names_key: str)
         raise ValidationError(f"model {names_key} must be a non-empty list of strings")
     if len(set(names)) != len(names):
         raise ValidationError(f"model {names_key} repeat: {names!r}")
+
+
+def number_array(value: object, name: str, ndim: int) -> np.ndarray:
+    """`value` as a float64 array, if it is a JSON array of numbers nested `ndim` deep.
+
+    Raises ValidationError naming `name` otherwise. A leaf must be an int or a
+    float, so strings and booleans that numpy would convert are rejected,
+    also when mixed with numbers; a list nested too deep or not deep enough,
+    or rows of unequal length, are rejected as a wrong shape.
+    """
+    leaves = [value]
+    shape = f"model {name} must be a {ndim}-d list of numbers"
+    for depth in range(ndim):
+        for item in leaves:
+            if type(item) is not list:
+                raise ValidationError(f"{shape}, got a {type(item).__name__} at depth {depth}")
+        leaves = [leaf for item in leaves for leaf in item]
+    kinds = set(map(type, leaves)) - {int, float}
+    if list in kinds:
+        raise ValidationError(f"{shape}, got lists nested {ndim + 1} or more deep")
+    if kinds:
+        raise ValidationError(f"model {name} must hold only numbers, found "
+                              f"{', '.join(sorted(kind.__name__ for kind in kinds))}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except ValueError as exc:
+        raise ValidationError(f"model {name} rows differ in length") from exc
+    except OverflowError as exc:
+        raise ValidationError(f"model {name} holds a number too large for a float") from exc

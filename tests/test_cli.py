@@ -422,6 +422,55 @@ class TestEvalAndCompare:
                          "--schema", str(schema))
         assert code == 2
 
+    def test_eval_renamed_tokens_exit_2(self, tmp_path, capsys, fixture_dir):
+        gold = os.path.join(fixture_dir, "corpus.tsv")
+        schema = os.path.join(fixture_dir, "schema.cfg")
+        with open(gold, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        first = next(line.split("\t")[0] for line in lines if line)
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text("".join(line.replace("\t", "x\t", 1) + "\n" for line in lines),
+                           encoding="utf-8")
+        code, _, err = run(capsys, "eval", "--gold", gold, "--pred", str(renamed),
+                           "--schema", schema)
+        assert code == 2
+        assert (f"predictions differ from gold at token index 0: gold has {first!r}, "
+                f"predictions have {first + 'x'!r}") in err
+
+    def test_eval_names_the_first_differing_token(self, tmp_path, capsys):
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("outside = O\ncategories = CLA\n", encoding="utf-8")
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        self.write_corpus(gold, [[("a", "CLA"), ("b", "O")], [("c", "O"), ("d", "O")]])
+        self.write_corpus(pred, [[("a", "CLA"), ("b", "O"), ("c", "O"), ("e", "O")]])
+        code, _, err = run(capsys, "eval", "--gold", str(gold), "--pred", str(pred),
+                           "--schema", str(schema))
+        assert code == 2
+        assert "at token index 3: gold has 'd', predictions have 'e'" in err
+
+    def test_eval_ignores_document_boundaries(self, tmp_path, capsys):
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("outside = O\ncategories = CLA\n", encoding="utf-8")
+        gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+        self.write_corpus(gold, [[("a", "CLA"), ("b", "O")], [("c", "O")]])
+        self.write_corpus(pred, [[("a", "CLA")], [("b", "CLA"), ("c", "O")]])
+        code, out, _ = run(capsys, "eval", "--gold", str(gold), "--pred", str(pred),
+                           "--schema", str(schema), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["per_class"]["CLA"]["precision"] == pytest.approx(50.0)
+
+    def test_eval_gold_without_tokens_exits_2(self, tmp_path, capsys):
+        schema = tmp_path / "schema.cfg"
+        schema.write_text("outside = O\ncategories = CLA\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        code, _, err = run(capsys, "eval", "--gold", str(gold), "--pred", str(gold),
+                           "--schema", str(schema), "--out", str(report))
+        assert code == 2
+        assert f"{gold}: no tokens to score" in err
+        assert not report.exists()
+
 
 def experiment_config(tmp_path, fixture_dir, dev_dir, model, method="none", seed=7):
     """A run-experiment config; the augment keys only for an operator, which reads them."""
@@ -642,6 +691,24 @@ class TestExperiments:
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert f"{key} must be" in err and repr(value) in err
+
+    @pytest.mark.parametrize("model,trainer", [("crf", "_train_crf_model"),
+                                               ("textclf", "_train_clf_model")])
+    def test_dev_without_tokens_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                        monkeypatch, model, trainer):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model)
+        set_keys(config, f"dev = {empty}\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(cli, trainer, no_training)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert f"{empty}: no tokens to score" in err
+        assert not (tmp_path / f"out-{model}-none").exists()
 
     def test_train_crf_unparsable_epochs_exits_2(self, tmp_path, fixture_dir, capsys):
         config = tmp_path / "crf.cfg"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import random
 
 import numpy as np
@@ -329,6 +330,44 @@ class TestFeatureIds:
                 assert ids.dtype == np.int32
                 assert ids.tolist() == expected
             assert set(model._token_memo) == seen_tokens | {t for texts in queries for t in texts}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5), min_size=1,
+                    max_size=4),
+           st.sampled_from(TOKENS + ["unseen"]),
+           st.lists(st.sampled_from(TOKENS + ["unseen", "Q"]), min_size=2, max_size=4,
+                    unique=True))
+    def test_same_token_after_different_tokens(self, seen, token, previous):
+        """A token's bigram ids depend on the token before it, or the sentence start."""
+        queries = [[token], [token, token]]
+        queries += [[before, token] for before in previous]  # after each, at position 1
+        queries.append([token] + [t for before in previous for t in (before, token)])
+        queries.append([t for before in reversed(previous) for t in (before, token)])
+        built = CrfModel.build(["A", "B"], seen)
+        index = built.feature_index
+        fresh = CrfModel(labels=built.labels, feature_index=index, weights=built.weights)
+        for model in (fresh, built):  # an empty memo, and one that `build` filled
+            for memo in ("cold", "warm"):
+                for texts in queries:
+                    expected = [[index.get(f, -1) for f in feats]
+                                for feats in extract_features(texts)]
+                    ids = _feature_ids(model, texts)
+                    assert ids.dtype == np.int32 and ids.shape == (len(texts), 14)
+                    assert not ids.flags.writeable
+                    assert ids.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6), min_size=1,
+                    max_size=5))
+    def test_build_ids_follow_first_appearance(self, seqs):
+        model = CrfModel.build(["A", "B"], seqs)
+        listed = [f for texts in seqs for feats in extract_features(texts) for f in feats]
+        first_seen = list(dict.fromkeys(listed))
+        assert list(model.feature_index.items()) == [(f, i) for i, f in enumerate(first_seen)]
+        for texts in seqs:
+            expected = [[model.feature_index[f] for f in feats]
+                        for feats in extract_features(texts)]
+            assert model._sequence_ids[tuple(texts)].tolist() == expected
 
     def test_memo_is_not_serialized(self, tmp_path):
         model = CrfModel.build(["A", "B"], [["Gut", "feels", "80", "%"]])
@@ -916,6 +955,32 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             CrfModel.from_dict(data)
 
+    @pytest.mark.parametrize("weights, message", [
+        (lambda n: ["0"] * n, "model weights must hold only numbers, found str"),
+        (lambda n: [True] * n, "model weights must hold only numbers, found bool"),
+        (lambda n: [True] + [0.5] * (n - 1), "model weights must hold only numbers, found bool"),
+        (lambda n: [0.5] * (n - 1) + [None], "model weights must hold only numbers, "
+                                             "found NoneType"),
+        (lambda n: [[0.0] * n], "model weights must be a 1-d list of numbers, "
+                                "got lists nested 2 or more deep"),
+        (lambda n: [0.0] * (n - 1) + [[0.0]], "model weights must be a 1-d list of numbers, "
+                                              "got lists nested 2 or more deep"),
+        (lambda n: {"0": 0.0}, "model weights must be a 1-d list of numbers, got a dict"),
+        (lambda n: [10 ** 400] * n, "model weights holds a number too large for a float"),
+    ], ids=["strings", "booleans", "boolean-among-floats", "null-among-floats", "nested",
+            "one-nested-entry", "object", "huge-integer"])
+    def test_weights_must_be_json_numbers(self, weights, message):
+        data = CrfModel.build(["A", "B"], [["x", "y"]]).to_dict()
+        data["weights"] = weights(len(data["weights"]))
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            CrfModel.from_dict(data)
+
+    def test_integer_weights_load(self):
+        data = CrfModel.build(["A", "B"], [["x", "y"]]).to_dict()
+        data["weights"] = [1] * len(data["weights"])
+        model = CrfModel.from_dict(data)
+        assert model.weights.dtype == np.float64 and (model.weights == 1.0).all()
+
     @pytest.mark.parametrize("field", ["labels", "l2", "feature_index", "weights"])
     def test_missing_field_rejected(self, field):
         data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
@@ -943,3 +1008,12 @@ class TestEmptyToken:
     def test_build_rejects_an_empty_token(self):
         with pytest.raises(ValidationError, match="empty token"):
             CrfModel.build(["A", "B"], [["x", ""]])
+
+    @pytest.mark.parametrize("texts", [[""], ["x", ""], ["", "x"], ["x", "y", ""]])
+    def test_rejected_with_a_warm_memo(self, texts):
+        model = CrfModel.build(["A", "B"], [["x", "y"], ["y", "x"]])
+        model.predict(["x", "y", "x", "z"])
+        with pytest.raises(ValidationError, match="empty token"):
+            model.predict(texts)
+        assert "" not in model._token_memo and "" not in model._start_pairs
+        assert all("" not in entry[3] for entry in model._token_memo.values())

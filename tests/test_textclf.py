@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,12 @@ class TestGradients:
 
 
 class TestSerialization:
+    # A loadable 2-class, width-2 model over a 3-word vocabulary.
+    VALID = {"format_version": 1, "classes": ["A", "B"],
+             "weights": [[0.1, 0.2], [0.3, 0.4]], "bias": [0.0, 0.5],
+             "vocab": {"a": 0, "b": 1, "c": 2},
+             "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "oov": [0.0, 0.0]}
+
     def test_round_trip(self, tmp_path):
         seqs, labels = toy_data(n=10)
         model = train_classifier(seqs, labels, ("A", "B"),
@@ -277,16 +284,35 @@ class TestSerialization:
     ])
     def test_malformed_model_rejected(self, key, value):
         """`value` replaces `key`; MISSING deletes it, and key None replaces the whole model."""
-        valid = {"format_version": 1, "classes": ["A", "B"],
-                 "weights": [[0.1, 0.2], [0.3, 0.4]], "bias": [0.0, 0.5],
-                 "vocab": {"a": 0, "b": 1, "c": 2},
-                 "matrix": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], "oov": [0.0, 0.0]}
-        assert SoftmaxClassifier.from_dict(valid).predict(["a", "zzz"]) in ("A", "B")
-        data = value if key is None else {**valid, key: value}
+        assert SoftmaxClassifier.from_dict(self.VALID).predict(["a", "zzz"]) in ("A", "B")
+        data = value if key is None else {**self.VALID, key: value}
         if value is MISSING:
             del data[key]
         with pytest.raises(ValidationError):
             SoftmaxClassifier.from_dict(data)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("weights", [["0.1", "0.2"], ["0.3", "0.4"]], "model weights must hold only numbers, "
+                                                      "found str"),
+        ("weights", [[True, False], [False, True]], "model weights must hold only numbers, "
+                                                    "found bool"),
+        ("weights", [[True, 0.5], [0.3, 0.4]], "model weights must hold only numbers, "
+                                               "found bool"),
+        ("bias", ["0", 0.5], "model bias must hold only numbers, found str"),
+        ("bias", [False, 0.5], "model bias must hold only numbers, found bool"),
+        ("matrix", [[1.0, 0.0], [0.0, True], [1.0, 1.0]], "model matrix must hold only "
+                                                           "numbers, found bool"),
+        ("oov", [None, 0.0], "model oov must hold only numbers, found NoneType"),
+        ("weights", [0.1, 0.2], "model weights must be a 2-d list of numbers, "
+                                "got a float at depth 1"),
+        ("bias", [[0.0, 0.5]], "model bias must be a 1-d list of numbers, "
+                               "got lists nested 2 or more deep"),
+        ("weights", [[0.1], [0.2, 0.3]], "model weights rows differ in length"),
+    ], ids=["string-weights", "bool-weights", "bool-among-floats", "string-bias", "bool-bias",
+            "bool-in-matrix", "null-oov", "flat-weights", "nested-bias", "ragged-weights"])
+    def test_arrays_must_be_json_numbers(self, key, value, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SoftmaxClassifier.from_dict({**self.VALID, key: value})
 
 
 def reference_loss_and_grads(weights, bias, x, y):
