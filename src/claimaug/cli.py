@@ -28,6 +28,7 @@ from . import synth
 from . import textclf
 from .corpus import (
     Dataset,
+    Document,
     LabelSchema,
     dataset_stats,
     format_schema_config,
@@ -417,6 +418,12 @@ def cmd_compare(args) -> int:
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:
     """Train the configured model on base + augmented sentences, score on dev."""
+    return _experiment(config, workers)[0]
+
+
+def _experiment(config: dict[str, str], workers: int
+                ) -> tuple[metrics_mod.MetricsReport, list[Document]]:
+    """`run_experiment`'s report, and one block per dev sentence with its predicted labels."""
     model_name = config.get("model", "textclf")
     _check_config(config, "run-experiment", model_name)
     schema, train_sentences = _load_sentences(config["train"], config["schema"])
@@ -435,30 +442,31 @@ def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.Metr
     if model_name == "crf":
         model = _train_crf_model(train_sentences, schema, config)
 
-        def predict(texts):
-            return model.predict(texts)
+        def predict(seqs):
+            return crf_mod.decode(model, seqs)
     else:
         clf = _train_clf_model(train_sentences, schema, config)
 
-        def predict(texts):
-            return senttok.project_labels(clf.predict(texts), len(texts))
+        def predict(seqs):
+            return [senttok.project_labels(clf.predict(texts), len(texts)) for texts in seqs]
 
-    gold: list[str] = []
-    predicted: list[str] = []
-    for doc in dev.documents:
-        gold.extend(doc.token_labels)
-        for sentence in senttok.split_sentences(doc, schema):
-            predicted.extend(predict(list(sentence.texts)))
-    return metrics_mod.score(gold, predicted, schema)
+    sentences = [s for doc in dev.documents for s in senttok.split_sentences(doc, schema)]
+    labels = predict([list(s.texts) for s in sentences])
+    blocks = [Document(s.doc_id, s.texts, y) for s, y in zip(sentences, labels)]
+    gold = [label for doc in dev.documents for label in doc.token_labels]
+    predicted = [label for block in blocks for label in block.token_labels]
+    return metrics_mod.score(gold, predicted, schema), blocks
 
 
 def cmd_run_experiment(args) -> int:
     config = parse_kv_config(_read_text(args.config))
-    report = run_experiment(config, workers=args.workers)
+    report, blocks = _experiment(config, args.workers)
     out_dir = config.get("outdir", ".")
     os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "report.json"), report.to_json())
     atomic_write_text(os.path.join(out_dir, "report.txt"), report.to_text())
+    atomic_write_bytes(os.path.join(out_dir, "predictions.tsv"),
+                       serialize_token_label_file(blocks))
     print(report.to_text(), end="")
     print(f"reports written to {out_dir}")
     return 0

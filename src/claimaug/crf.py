@@ -9,7 +9,8 @@ attributes once as integer ids, a per-model memo keeps the ids of each
 distinct token and of each distinct token pair packed as int32 bytes, so a
 sequence's [n, 14] ids are one join of memo entries. Training and the
 marginals run one scaled forward-backward recursion in probability space;
-Viterbi decoding adds scores.
+Viterbi decoding adds scores. Compilation, the epoch NLL and `decode` work
+in chunks of up to 64 sentences of one length; `viterbi` decodes one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from operator import concat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,13 +180,6 @@ class CrfModel:
         L = self.n_labels
         return self.weights[len(self.feature_index) * L:].reshape(L, L)
 
-    def label_ids(self, labels: Sequence[str]) -> list[int]:
-        table = {label: i for i, label in enumerate(self.labels)}
-        try:
-            return [table[l] for l in labels]
-        except KeyError as exc:
-            raise ValidationError(f"label {exc.args[0]!r} not in model label set")
-
     def predict(self, texts: Sequence[str]) -> list[str]:
         return viterbi(self, texts)
 
@@ -314,12 +308,17 @@ class _Compiled:
     ids of each position's feature strings. `gold[k][i] = i*L + y_i` and
     `pairs[k][i] = y_i*L + y_(i+1)` index the gold labels in the flattened
     [n, L] emissions and the gold moves in the flattened [L, L] transitions.
+    `chunks` holds `(ids, gold, pairs)` for each `_length_chunks` chunk of B
+    sentences of length n: their int32 [B, n, 14] ids, the [B, n] gold
+    indices into the flattened [B, n, L] emissions, and their [B, n - 1]
+    pairs. `dataset_nll` reads only these.
     """
 
     rows: list[np.ndarray]
     local: list[np.ndarray]
     gold: list[np.ndarray]
     pairs: list[np.ndarray]
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.rows[k], self.local[k], self.gold[k], self.pairs[k]
@@ -371,32 +370,83 @@ def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
                                lambda features: _pack_ids(*map(get, features, _ABSENT))))
 
 
+# Sentences per chunk of `_length_chunks`. The bound keeps a chunk's
+# `[14, n, B, L]` emission gather small.
+_CHUNK = 64
+
+
+def _length_chunks(lengths: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """`(n, members)`: the indices of up to `_CHUNK` sequences of length n at a time.
+
+    Lengths come in order of first appearance, and each length's indices in
+    increasing order, so a sum over the chunks adds in one fixed order.
+    """
+    by_length: dict[int, list[int]] = {}
+    for k, n in enumerate(lengths):
+        by_length.setdefault(n, []).append(k)
+    for n, group in by_length.items():
+        for start in range(0, len(group), _CHUNK):
+            yield n, group[start:start + _CHUNK]
+
+
 def _compile(model: CrfModel,
              data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
     """Compile each (texts, labels) pair into the arrays an SGD step reads, once.
 
     A sequence that `build` already mapped takes its ids out of the model's
-    memo, so the ids and their compiled form are not both held for long.
-    Everything here depends only on the sentence, so `train` does it once
-    rather than on every step of every epoch.
+    memo, so the ids are not held twice for long. Everything here depends
+    only on the sentence, so `train` does it once rather than on every step
+    of every epoch. A first pass checks each pair and takes its ids and
+    label ids, in order, so the first bad pair raises. Each `_length_chunks`
+    chunk then gives every member's `rows` and `local` at once: an argsort
+    of each sentence's feature-major ids, a mark where a run of equal ids
+    starts and a cumulative sum number the runs, which are `np.unique`'s
+    sorted values and inverse. Equal ids get one run number in any order,
+    so the sort need not be stable.
     """
     known = model._sequence_ids
     n_labels = model.n_labels
-    compiled = _Compiled([], [], [], [])
+    table = {label: i for i, label in enumerate(model.labels)}
+    sequence_ids, label_ids = [], []
     for k, (texts, labels) in enumerate(data):
         if len(texts) != len(labels):
             raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
         if not texts:
             raise ValidationError(f"sequence {k} is empty")
         ids = known.pop(tuple(texts), None)
-        if ids is None:
-            ids = _feature_ids(model, texts)
-        rows, local = np.unique(ids.T, return_inverse=True)
-        y = np.array(model.label_ids(labels), dtype=np.int32)
-        compiled.rows.append(rows)
-        compiled.local.append(local.reshape(ids.T.shape).astype(np.int32))
-        compiled.gold.append(np.arange(len(y), dtype=np.int32) * n_labels + y)
-        compiled.pairs.append(y[:-1] * n_labels + y[1:])
+        sequence_ids.append(_feature_ids(model, texts) if ids is None else ids)
+        try:
+            label_ids.append([table[label] for label in labels])
+        except KeyError as exc:
+            raise ValidationError(f"label {exc.args[0]!r} not in model label set")
+    size = len(sequence_ids)
+    compiled = _Compiled([None] * size, [None] * size, [None] * size, [None] * size, [])
+    for n, members in _length_chunks([len(y) for y in label_ids]):
+        ids = np.array([sequence_ids[k] for k in members])  # [B, n, 14]
+        y = np.array([label_ids[k] for k in members], dtype=np.int32)  # [B, n]
+        width = _N_FEATURES * n
+        by_feature = ids.swapaxes(1, 2).reshape(len(members), width)
+        order = np.argsort(by_feature, 1)
+        ordered = np.take_along_axis(by_feature, order, 1)
+        starts = np.empty(ordered.shape, bool)
+        starts[:, 0] = True
+        np.not_equal(ordered[:, 1:], ordered[:, :-1], starts[:, 1:])
+        runs = np.cumsum(starts, 1, np.int32)
+        runs -= 1
+        local = np.empty_like(runs)
+        np.put_along_axis(local, order, runs, 1)
+        distinct = ordered[starts]
+        bounds = [0, *np.cumsum(runs[:, -1] + 1).tolist()]
+        gold = np.arange(n, dtype=np.int32) * n_labels + y
+        pairs = y[:, :-1] * n_labels + y[:, 1:]
+        for b, k in enumerate(members):
+            compiled.rows[k] = distinct[bounds[b]:bounds[b + 1]]
+            compiled.local[k] = local[b].reshape(_N_FEATURES, n)
+            compiled.gold[k] = gold[b]
+            compiled.pairs[k] = pairs[b]
+        # Offset each sentence's gold indices to its block of the flattened chunk.
+        offsets = np.arange(0, len(members) * n * n_labels, n * n_labels)[:, None]
+        compiled.chunks.append((ids, gold + offsets, pairs))
     return compiled
 
 
@@ -526,8 +576,41 @@ def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
     return [labels[i] for i in path]
 
 
-# Sequences per batched forward recursion in `dataset_nll`.
-_NLL_BATCH = 64
+def decode(model: CrfModel, seqs: Sequence[Sequence[str]]) -> list[list[str]]:
+    """`viterbi` of every sequence, run over `_length_chunks` chunks of one length at once.
+
+    Per position a chunk takes one `[B, L, L]` add of the previous scores
+    and the transitions, the first-index `argmax` over the previous label
+    and the `[B, L]` add of the emissions: the float64 adds of `viterbi`, in
+    its order, with its tie rule, so the paths are its paths. A numpy
+    recursion costs more than the scalar one on a single sentence, which is
+    why `CrfModel.predict` stays on `viterbi`.
+    """
+    ids = [_feature_ids(model, texts) for texts in seqs]
+    weights = model.emission_weights
+    transitions = model.transitions
+    labels = model.labels
+    decoded: list[list[str]] = [[] for _ in ids]
+    for n, members in _length_chunks([len(x) for x in ids]):
+        if not n:
+            continue
+        emissions = _emissions(weights, np.array([ids[k] for k in members]))  # [B, n, L]
+        delta = emissions[:, 0]
+        back = []
+        for i in range(1, n):
+            scores = delta[:, :, None] + transitions  # [B, previous, next]
+            pointers = np.argmax(scores, 1)
+            back.append(pointers)
+            delta = np.take_along_axis(scores, pointers[:, None], 1)[:, 0] + emissions[:, i]
+        best = np.argmax(delta, 1)
+        path = [best]
+        chunk = np.arange(len(members))
+        for pointers in reversed(back):
+            best = pointers[chunk, best]
+            path.append(best)
+        for k, row in zip(members, np.array(path[::-1]).T.tolist()):
+            decoded[k] = [labels[i] for i in row]
+    return decoded
 
 
 def dataset_nll(model: CrfModel,
@@ -535,28 +618,18 @@ def dataset_nll(model: CrfModel,
     """NLL of every sequence plus the L2 term.
 
     `data` is (texts, labels) pairs or their `_compile` result. One
-    forward recursion runs over up to `_NLL_BATCH` sequences of one length
-    at once; the bound keeps the `[14, n, B, L]` emission gather small.
+    forward recursion runs over each `_length_chunks` chunk of sequences of
+    one length, from the ids `_compile` stacked for it.
     """
     if not isinstance(data, _Compiled):
         data = _compile(model, data)
-    by_length: dict[int, list[int]] = {}
-    for k, gold in enumerate(data.gold):
-        by_length.setdefault(len(gold), []).append(k)
     weights = model.emission_weights
     transitions = model.transitions
     total = 0.0
-    for n, group in by_length.items():
-        for start in range(0, len(group), _NLL_BATCH):
-            members = group[start:start + _NLL_BATCH]
-            ids = np.array([data.rows[k][data.local[k]].T for k in members])
-            emissions = _emissions(weights, ids)
-            # Offset each sentence's gold indices to its block of the flattened batch.
-            offsets = np.arange(0, emissions.size, n * model.n_labels)[:, None]
-            gold = np.array([data.gold[k] for k in members]) + offsets
-            pairs = np.array([data.pairs[k] for k in members])
-            total += (float(np.add.reduce(_forward_backward(emissions, transitions)))
-                      - _gold_score(emissions, transitions, gold, pairs))
+    for ids, gold, pairs in data.chunks:
+        emissions = _emissions(weights, ids)
+        total += (float(np.add.reduce(_forward_backward(emissions, transitions)))
+                  - _gold_score(emissions, transitions, gold, pairs))
     return total + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
 
 

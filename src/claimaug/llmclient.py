@@ -5,7 +5,8 @@ configured endpoint; the response is a JSON object whose `completion` field
 holds the generated text. The auth token, if any, is read from an environment
 variable and sent as a Bearer header. An HTTP 4xx answer is a
 ConfigurationError, which is not retried; timeouts, connection errors, 5xx
-answers and malformed bodies are LlmTransportError, which is.
+answers and malformed bodies (not UTF-8, not JSON, no `completion` field or
+one that is not a string) are LlmTransportError, which is.
 """
 
 from __future__ import annotations
@@ -70,8 +71,15 @@ class HttpLlmClient:
             raise LlmTransportError(f"LLM endpoint {self.endpoint}: {exc}") from exc
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise LlmTransportError(f"LLM endpoint {self.endpoint}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise LlmTransportError(f"LLM endpoint returned a body that is not UTF-8: "
+                                    f"{exc}") from exc
         except json.JSONDecodeError as exc:
             raise LlmTransportError(f"LLM endpoint returned malformed JSON: {exc}") from exc
         if not isinstance(payload, dict) or "completion" not in payload:
             raise LlmTransportError("LLM response missing 'completion' field")
-        return str(payload["completion"])
+        completion = payload["completion"]
+        if not isinstance(completion, str):
+            raise LlmTransportError(f"LLM response 'completion' is "
+                                    f"{type(completion).__name__}, not a string")
+        return completion

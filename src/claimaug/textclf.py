@@ -43,7 +43,7 @@ class EmbeddingTable:
 
     @classmethod
     def from_text(cls, text: str) -> "EmbeddingTable":
-        """Parse `token v1 v2 ... vd` lines; a `<OOV>` row, if present, seeds the OOV vector."""
+        """Parse `token v1 v2 ... vd` lines; one `<OOV>` row, if present, seeds the OOV vector."""
         vocab: dict[str, int] = {}
         rows = []
         oov = None
@@ -63,11 +63,11 @@ class EmbeddingTable:
                 dim = vector.shape[0]
             elif vector.shape[0] != dim:
                 raise ParseError(f"dimension mismatch for {token!r}", line=lineno)
+            if token in vocab or token == "<OOV>" and oov is not None:
+                raise ParseError(f"duplicate token {token!r}", line=lineno)
             if token == "<OOV>":
                 oov = vector
                 continue
-            if token in vocab:
-                raise ParseError(f"duplicate token {token!r}", line=lineno)
             vocab[token] = len(rows)
             rows.append(vector)
         if not rows:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from claimaug import augment as aug
 from claimaug import cli
 from claimaug import morph
-from claimaug.cli import CONFIG_KEYS, main
+from claimaug.cli import CONFIG_KEYS, _load_sentences, main
 from claimaug.crf import TrainConfig
 from claimaug.errors import ConfigurationError
 
@@ -533,6 +533,23 @@ class TestExperiments:
         code, out, _ = run(capsys, "run-experiment", "--config", config)
         assert code == 0
         assert os.path.exists(tmp_path / "out-crf-none" / "report.json")
+
+    @pytest.mark.parametrize("model", ["crf", "textclf"])
+    def test_predictions_file_rescores_to_the_report(self, tmp_path, fixture_dir, dev_dir,
+                                                     capsys, model):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model)
+        assert run(capsys, "run-experiment", "--config", config)[0] == 0
+        out = tmp_path / f"out-{model}-none"
+        schema = os.path.join(dev_dir, "schema.cfg")
+        _, sentences = _load_sentences(os.path.join(dev_dir, "corpus.tsv"), schema)
+        blocks = (out / "predictions.tsv").read_text(encoding="utf-8").split("\n\n")
+        assert [[line.split("\t")[0] for line in block.splitlines()] for block in blocks] == [
+            list(s.texts) for s in sentences]
+        code, _, _ = run(capsys, "eval", "--gold", os.path.join(dev_dir, "corpus.tsv"),
+                         "--pred", str(out / "predictions.tsv"), "--schema", schema,
+                         "--format", "json", "--out", str(tmp_path / "eval.json"))
+        assert code == 0
+        assert (tmp_path / "eval.json").read_bytes() == (out / "report.json").read_bytes()
 
     def test_same_seed_identical_reports(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf", "aeda")

@@ -15,6 +15,7 @@ from claimaug.crf import (
     CrfModel,
     TrainConfig,
     dataset_nll,
+    decode,
     extract_features,
     log_partition,
     nll_and_gradient,
@@ -26,6 +27,7 @@ from claimaug.crf import (
     _emissions,
     _feature_ids,
     _forward_backward,
+    _length_chunks,
     _sentence_gradient,
 )
 from claimaug.errors import TrainingDiverged, ValidationError
@@ -509,7 +511,7 @@ def reference_nll_and_gradient(model, texts, gold_labels):
     fids = present_feature_ids(model, texts)
     emissions = reference_emissions(model, fids)
     transitions = model.transitions
-    y = model.label_ids(gold_labels)
+    y = [model.labels.index(label) for label in gold_labels]
     n, L = emissions.shape
     F = len(model.feature_index)
     alpha = np.empty_like(emissions)
@@ -901,6 +903,101 @@ def test_batched_dataset_nll_matches_per_sequence_sum(instance):
                    for texts, labels in data)
     expected += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
     assert dataset_nll(model, data) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# More sentences of one length than one `_length_chunks` chunk holds.
+CROWD = 65
+
+
+@st.composite
+def decode_batches(draw):
+    """A `tiny_models` model and sentences of mixed lengths, some tokens unseen.
+
+    A crowd of 65-70 sentences of one length fills one 64-sentence chunk
+    and leaves the rest, with any other sentences of that length, to a
+    second. A one-token sentence is always among them.
+    """
+    model, texts = draw(tiny_models())
+    tokens = st.sampled_from(TOKENS + ["unseen", "ZZ"])
+    crowd_length = draw(st.integers(1, 5))
+    seqs = [texts, [draw(tokens)]]
+    seqs += draw(st.lists(st.lists(tokens, min_size=1, max_size=5), max_size=10))
+    seqs += draw(st.lists(st.lists(tokens, min_size=crowd_length, max_size=crowd_length),
+                          min_size=CROWD, max_size=CROWD + 5))
+    return model, draw(st.permutations(seqs))
+
+
+@st.composite
+def compile_batches(draw):
+    """A model over some sentences, and labelled sentences to compile against it."""
+    model, seqs = draw(decode_batches())
+    labels = [[model.labels[draw(st.integers(0, model.n_labels - 1))] for _ in texts]
+              for texts in seqs]
+    return model, list(zip(seqs, labels))
+
+
+def reference_compiled(model, texts, labels):
+    """One sentence's `(rows, local, gold, pairs)` by `np.unique`, as `_compile` once made them."""
+    ids = oracle_feature_ids(model, texts).astype(np.int32)
+    rows, local = np.unique(ids.T, return_inverse=True)
+    y = np.array([model.labels.index(label) for label in labels], dtype=np.int32)
+    n_labels = model.n_labels
+    return (rows, local.reshape(ids.T.shape).astype(np.int32),
+            np.arange(len(y), dtype=np.int32) * n_labels + y, y[:-1] * n_labels + y[1:])
+
+
+class TestLengthChunks:
+    @settings(max_examples=60, deadline=None)
+    @given(decode_batches())
+    def test_decode_matches_viterbi(self, instance):
+        model, seqs = instance
+        assert decode(model, seqs) == [viterbi(model, texts) for texts in seqs]
+
+    def test_decode_empty_input(self):
+        model = CrfModel.build(["A", "B"], [["x"]])
+        assert decode(model, []) == []
+        assert decode(model, [["x"], []]) == [viterbi(model, ["x"]), []]
+
+    @settings(max_examples=60, deadline=None)
+    @given(compile_batches())
+    def test_compile_matches_per_sentence_unique(self, instance):
+        model, data = instance
+        compiled = _compile(model, data)
+        expected = [reference_compiled(model, texts, labels) for texts, labels in data]
+        for k, sentence in enumerate(expected):
+            for got, want in zip(compiled[k], sentence):
+                assert_same_bits(got, want)
+        chunks = list(_length_chunks([len(texts) for texts, _ in data]))
+        assert len(chunks) == len(compiled.chunks)
+        for (n, members), (ids, gold, pairs) in zip(chunks, compiled.chunks):
+            assert len(members) <= 64 and all(len(data[k][0]) == n for k in members)
+            assert_same_bits(ids, np.array([oracle_feature_ids(model, data[k][0])
+                                            for k in members], dtype=np.int32))
+            offsets = np.arange(len(members))[:, None] * n * model.n_labels
+            assert gold.tolist() == (np.array([expected[k][2] for k in members])
+                                     + offsets).tolist()
+            assert_same_bits(pairs, np.array([expected[k][3] for k in members],
+                                             dtype=np.int32).reshape(len(members), n - 1))
+
+    def test_chunks_keep_first_appearance_order(self):
+        lengths = [3, 1, 3] + [2] * 130 + [1]
+        chunks = list(_length_chunks(lengths))
+        assert [(n, len(members)) for n, members in chunks] == [(3, 2), (1, 2), (2, 64),
+                                                                (2, 64), (2, 2)]
+        assert sorted(k for _, members in chunks for k in members) == list(range(len(lengths)))
+        assert all(members == sorted(members) for _, members in chunks)
+
+    @pytest.mark.parametrize("data, message", [
+        ([(["a"], ["A"]), (["a"], ["Z"]), ([], [])], "label 'Z' not in model label set"),
+        ([(["a"], ["A"]), ([], []), (["a"], ["Z"])], "sequence 1 is empty"),
+        ([(["a", ""], ["A", "A"]), (["a"], ["A", "B"])], "empty token"),
+        ([(["a"], ["A", "B"]), (["a", ""], ["A", "A"])], "sequence 0: 1 tokens vs 2 labels"),
+    ], ids=["label-before-empty", "empty-before-label", "token-before-mismatch",
+            "mismatch-before-token"])
+    def test_first_bad_sequence_raises(self, data, message):
+        model = CrfModel.build(["A", "B"], [["a"]])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            _compile(model, data)
 
 
 class TestSerialization:

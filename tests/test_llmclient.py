@@ -152,6 +152,16 @@ class TestRetryOnlyTransientErrors:
                            sleep=pauses.append)
         assert len(calls) == 3 and len(pauses) == 2
 
+    @pytest.mark.parametrize("body, message", [
+        (b'{"completion": "Not \xff so."}', "returned a body that is not UTF-8"),
+        (b'{"completion": null}', "'completion' is NoneType, not a string"),
+    ], ids=["not-utf8", "null-completion"])
+    def test_malformed_body_is_a_transport_error(self, monkeypatch, body, message):
+        calls = scripted_urlopen(monkeypatch, body)
+        with pytest.raises(LlmTransportError, match=message):
+            HttpLlmClient(self.ENDPOINT).complete("Tea helps.")
+        assert len(calls) == 1
+
     def test_success_does_not_pause(self, monkeypatch):
         scripted_urlopen(monkeypatch, b'{"completion": "Not so."}')
         pauses = []

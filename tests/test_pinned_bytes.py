@@ -17,6 +17,8 @@ from claimaug.crf import CrfModel
 
 METHODS = ("aeda", "vr-random", "vr-antonym", "er", "llm")
 SIZES = "CLA=12,EXP=30,O=120,PER=40,QUE=30"
+# The run-experiment runs whose predictions file is pinned.
+PREDICTIONS = ("crf", "textclf")
 
 PINNED = {
     "make-fixture/corpus.tsv":
@@ -49,8 +51,12 @@ PINNED = {
         "f770fba970d75289f01a11e0111d35caf69490822d59c06a6ac7d5a5fa5133c4",
     "run-experiment/crf/report.json":
         "6f6246f7969a4b7e80871d493326fcb7f4d73648aaf273fc0803d647d2a5b6ac",
+    "run-experiment/crf/predictions.tsv":
+        "a25694af094649ccc344375a27e6bb4d8cf193d0292505ee80a553a192701ef1",
     "run-experiment/textclf/report.json":
         "a45eb3d1cefacbc6e1cc1fb35e95b0a609a8a385f5d09872b5cb1480f13ed88f",
+    "run-experiment/textclf/predictions.tsv":
+        "4209aecc3d7390fd27b76193b0b77dc0a109b08ddc83f5be42fef3aeb0150c6c",
     "run-experiment/textclf-adv/report.json":
         "7b40913736823ed148e71dd9e6a338015324842f816084e6cb79956c5901b7af",
     "train-crf/l2=0/model.json":
@@ -120,6 +126,9 @@ def produce_digests(work: str) -> dict[str, str]:
         _run("run-experiment", "--config", config)
         digests[f"run-experiment/{name}/report.json"] = _sha256(
             os.path.join(outdir, "report.json"))
+        if name in PREDICTIONS:
+            digests[f"run-experiment/{name}/predictions.tsv"] = _sha256(
+                os.path.join(outdir, "predictions.tsv"))
 
     # The train-* commands read no dev set and no augment keys, so each gets
     # a config of its own.

@@ -54,6 +54,14 @@ class TestEmbedding:
         with pytest.raises(ParseError):
             EmbeddingTable.from_text("cat 1.0 2.0\ndog 3.0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 2\n<OOV> 1 1\n<OOV> 9 9\n", "line 3: duplicate token '<OOV>'"),
+        ("a 1 2\n<OOV> 1 1\na 9 9\n", "line 3: duplicate token 'a'"),
+    ], ids=["oov", "token"])
+    def test_text_format_repeated_row(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            EmbeddingTable.from_text(text)
+
     def test_random_table_seeded(self):
         a = EmbeddingTable.random(["x", "y"], dim=8, seed=5)
         b = EmbeddingTable.random(["x", "y"], dim=8, seed=5)
