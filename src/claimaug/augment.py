@@ -234,8 +234,16 @@ def default_entity_annotator(texts: Sequence[str]) -> list[EntitySpan]:
     PERCENT is a number token followed by "%"/"percent" (or an attached
     "80%"-style token); CARDINAL a standalone number token; PROPER a maximal
     run of capitalized tokens not at sentence start. Returned spans never
-    overlap; earlier rules win.
+    overlap; earlier rules win. Only a token that starts with a decimal
+    digit, or one after the first that starts with an upper-case letter, can
+    be claimed, so a sentence with neither has no spans.
     """
+    for i, text in enumerate(texts):
+        first = text[:1]
+        if first.isdecimal() or (i and first.isalpha() and first.isupper()):
+            break
+    else:
+        return []
     spans: list[EntitySpan] = []
     taken = [False] * len(texts)
 
@@ -285,14 +293,14 @@ def build_entity_dictionary(sentences: Iterable[LabeledSentence]) -> EntityDicti
 
 def build_verb_pool(sentences: Iterable[LabeledSentence],
                     lexicon: morph.VerbLexicon) -> list[str]:
-    """Distinct verb bases detected in the given sentences, sorted."""
-    pool = set()
-    for sentence in sentences:
-        for text in sentence.texts:
-            detected = morph.detect_verb(text, lexicon)
-            if detected is not None:
-                pool.add(detected[0])
-    return sorted(pool)
+    """Distinct verb bases detected in the given sentences, sorted.
+
+    Detection depends on the token text alone, so each distinct text is
+    looked up once.
+    """
+    texts = {text for sentence in sentences for text in sentence.texts}
+    detected = (morph.detect_verb(text, lexicon) for text in texts)
+    return sorted({found[0] for found in detected if found is not None})
 
 
 def _checked_spans(texts: Sequence[str], dictionary: EntityDictionary) -> list[EntitySpan]:

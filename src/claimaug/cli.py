@@ -54,19 +54,30 @@ EXIT_DIVERGED = 4
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text; one that starts with a byte-order mark is refused."""
     with open(path, encoding="utf-8") as f:
         try:
-            return f.read()
+            text = f.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                              ) from None
+    if text.startswith("\ufeff"):
+        raise ParseError(f"{path}: file starts with a UTF-8 byte-order mark; "
+                         "save it without one")
+    return text
 
 
-def _parse_file(path: str, parse: typing.Callable[[str], typing.Any]):
-    """`parse` of the file's text; its ParseError names the file."""
-    text = _read_text(path)
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _parse_file(path: str, parse: typing.Callable[[typing.Any], typing.Any],
+                read: typing.Callable[[str], typing.Any] = _read_text):
+    """`parse` of what `read` gets from the file; its ParseError names the file."""
+    data = read(path)
     try:
-        return parse(text)
+        return parse(data)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -76,8 +87,7 @@ def _load_schema(path: str) -> LabelSchema:
 
 
 def _load_dataset(path: str, schema: LabelSchema) -> Dataset:
-    with open(path, "rb") as f:
-        return parse_token_label_file(f.read(), schema)
+    return _parse_file(path, lambda data: parse_token_label_file(data, schema), _read_bytes)
 
 
 def _load_gold(path: str, schema: LabelSchema) -> Dataset:
@@ -185,15 +195,20 @@ def _augment(sentences, config: aug.AugmentConfig, *, entities: str | None, offl
                                 workers=workers)
 
 
+# `json.dumps(obj, sort_keys=True)` builds this same encoder on every call.
+_MANIFEST_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _write_augmented(samples: list[aug.AugmentedSample], out_dir: str) -> None:
+    """augmented.tsv with one block per sample, and manifest.jsonl with one line each."""
     os.makedirs(out_dir, exist_ok=True)
-    manifest = [json.dumps({
+    manifest = [_MANIFEST_ENCODER.encode({
         "method": sample.method.value,
         "doc_id": sample.source_id[0],
         "sent_index": sample.source_id[1],
         "seed": sample.seed,
         "detail": sample.detail,
-    }, sort_keys=True) for sample in samples]
+    }) for sample in samples]
     atomic_write_bytes(os.path.join(out_dir, "augmented.tsv"),
                        serialize_token_label_file(s.sentence for s in samples))
     atomic_write_text(os.path.join(out_dir, "manifest.jsonl"),

@@ -9,11 +9,13 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, NoReturn, Protocol, Sequence
 
 from .errors import ParseError, SchemaError, ValidationError
 from .util import parse_kv_config
@@ -142,6 +144,8 @@ def format_schema_config(schema: LabelSchema) -> str:
 
 
 _WHITESPACE = re.compile(r"\s")
+# Second argument of `map(operator.contains, lines, _TABS)`: "\t" for every line.
+_TABS = itertools.repeat("\t")
 
 
 def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
@@ -149,26 +153,44 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
 
     Token text must be non-empty and free of whitespace. A corpus enters the
     program here, so this is where the check lives, with the line number.
+    Each block is checked as a whole: its lines joined by tabs must split
+    into token, label pairs, one per line. Only a block that fails is read
+    line by line, to raise the first fault with its line number. A file
+    that starts with a byte-order mark is refused, since the mark would
+    otherwise become part of the first token.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}")
-    documents: list[Document] = []
-    texts: list[str] = []
-    labels: list[str] = []
-
-    def flush():
-        if texts:
-            documents.append(Document(id=f"d{len(documents)}", texts=texts, token_labels=labels))
-            texts.clear()
-            labels.clear()
-
+    if text.startswith("\ufeff"):
+        raise ParseError("file starts with a UTF-8 byte-order mark; save it without one")
     known = frozenset(schema.labels)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw or raw.isspace():
-            flush()
+    lines = text.splitlines()
+    documents: list[Document] = []
+    start = 0
+    # A blank or whitespace-only line ends a block; the sentinel ends the last.
+    for end, raw in enumerate(lines + [""]):
+        if raw and not raw.isspace():
             continue
+        if end > start:
+            block = lines[start:end]
+            fields = "\t".join(block).split("\t")
+            texts, labels = fields[0::2], fields[1::2]
+            if (len(fields) != 2 * len(block) or not all(map(operator.contains, block, _TABS))
+                    or not all(texts) or _WHITESPACE.search("".join(texts))
+                    or not known.issuperset(labels)):
+                _raise_first_fault(block, start + 1, known)
+            documents.append(Document(id=f"d{len(documents)}", texts=texts,
+                                      token_labels=labels))
+        start = end + 1
+    return Dataset(schema=schema, documents=tuple(documents))
+
+
+def _raise_first_fault(block: Sequence[str], first_line: int,
+                       known: frozenset[str]) -> NoReturn:
+    """Raise the error of the first bad line of `block`, whose first line is `first_line`."""
+    for lineno, raw in enumerate(block, start=first_line):
         fields = raw.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 'token<TAB>label', got {len(fields)} fields", line=lineno)
@@ -177,10 +199,7 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
             raise ParseError(f"bad token text {token_text!r}", line=lineno)
         if label not in known:
             raise SchemaError(f"line {lineno}: unknown label {label!r}")
-        texts.append(token_text)
-        labels.append(label)
-    flush()
-    return Dataset(schema=schema, documents=tuple(documents))
+    raise AssertionError("block check failed on a block with no bad line")
 
 
 class TokenLabelBlock(Protocol):

@@ -12,6 +12,7 @@ Lexicon TSV: `base<TAB>3sg<TAB>past<TAB>gerund<TAB>past_participle`, where
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -202,11 +203,21 @@ def load_default_stoplist() -> frozenset[str]:
     return load_stoplist(_data_text("stoplist.txt"))
 
 
+@functools.cache
 def load_default_verb_lexicon() -> VerbLexicon:
+    """The bundled verb lexicon with the bundled stoplist, read once per process.
+
+    Every caller gets the same object, so no caller may mutate it.
+    """
     return load_verb_lexicon(_data_text("verbs.tsv"), stoplist=load_default_stoplist())
 
 
+@functools.cache
 def load_default_antonyms() -> AntonymLexicon:
+    """The bundled antonym lexicon, read once per process.
+
+    Every caller gets the same object, so no caller may mutate it.
+    """
     return load_antonyms(_data_text("antonyms.tsv"))
 
 

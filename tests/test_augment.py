@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimaug import augment as aug
-from claimaug import morph
+from claimaug import morph, synth
 from claimaug.augment import (
     AugmentConfig,
     EntityDictionary,
@@ -25,6 +26,7 @@ from claimaug.errors import (
     AugmentationFailed,
     ConfigurationError,
 )
+from claimaug.senttok import split_sentences
 from conftest import MockLlmClient, make_sentence
 
 
@@ -162,6 +164,77 @@ class TestDefaultAnnotator:
             ordered = sorted(spans, key=lambda s: s.token_start)
             for prev, cur in zip(ordered, ordered[1:]):
                 assert cur.token_start >= prev.token_end
+
+
+def reference_annotator(texts):
+    """`default_entity_annotator` as it was before its early exit, kept as the reference."""
+    spans = []
+    taken = [False] * len(texts)
+
+    def claim(start, end, category):
+        spans.append(EntitySpan(start, end, category))
+        for i in range(start, end):
+            taken[i] = True
+
+    i = 0
+    while i < len(texts):
+        if not taken[i] and aug._NUMBER_RE.match(texts[i]) and i + 1 < len(texts) \
+                and texts[i + 1] in ("%", "percent"):
+            claim(i, i + 2, "PERCENT")
+            i += 2
+            continue
+        if not taken[i] and aug._ATTACHED_PERCENT_RE.match(texts[i]):
+            claim(i, i + 1, "PERCENT")
+        i += 1
+    for i, text in enumerate(texts):
+        if not taken[i] and aug._NUMBER_RE.match(text):
+            claim(i, i + 1, "CARDINAL")
+    run_start = None
+    for i in range(len(texts) + 1):
+        capitalized = (i < len(texts) and i > 0 and not taken[i]
+                       and texts[i][0].isalpha() and texts[i][0].isupper())
+        if capitalized and run_start is None:
+            run_start = i
+        elif not capitalized and run_start is not None:
+            claim(run_start, i, "PROPER")
+            run_start = None
+    return sorted(spans, key=lambda s: s.token_start)
+
+
+# '٣' is a decimal digit outside ASCII; '²' is a digit but not decimal, and
+# 'Ⅷ' is upper case but not a letter.
+ANNOTATOR_TOKENS = st.sampled_from([
+    "0", "7", "42", "٣", "²", "%", "percent", "80%", "3.5", "Sibo", "IBS", "Mayo",
+    "Ⅷ", "the", "low", "of", "ran", ".",
+])
+
+
+@given(st.lists(ANNOTATOR_TOKENS, max_size=12))
+def test_annotator_equals_the_reference(texts):
+    assert default_entity_annotator(texts) == reference_annotator(texts)
+
+
+def test_decimal_digits_are_the_number_patterns_digits():
+    # The annotator's early exit tests `str.isdecimal` where its patterns use `\d`.
+    disagree = [hex(cp) for cp in range(sys.maxunicode + 1)
+                if (aug._NUMBER_RE.match(chr(cp)) is not None) != chr(cp).isdecimal()]
+    assert disagree == []
+
+
+def test_verb_pool_equals_a_per_token_loop(lexicon):
+    dataset, _ = synth.generate(sizes={"CLA": 20, "EXP": 20, "O": 60, "PER": 20, "QUE": 20},
+                                seed=11)
+    sentences = [s for doc in dataset.documents for s in split_sentences(doc, dataset.schema)]
+    # A verb that only opens a sentence, in a case no fixture sentence uses.
+    sentences.append(sentence_from(["ZIGZAGGED", "home"]))
+    pool = set()
+    for sentence in sentences:
+        for text in sentence.texts:
+            detected = morph.detect_verb(text, lexicon)
+            if detected is not None:
+                pool.add(detected[0])
+    assert len(pool) > 10 and "zigzag" in pool
+    assert build_verb_pool(sentences, lexicon) == sorted(pool)
 
 
 class TestEntityReplace:

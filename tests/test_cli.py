@@ -1125,3 +1125,58 @@ class TestConfigCheck:
                            "--schema", str(schema), "--out", str(tmp_path / "split.tsv"))
         assert code == 2
         assert "key 'outside' repeats line 1" in err
+
+
+@pytest.mark.parametrize("kind", ["corpus", "schema", "run config", "entities"])
+def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir, capsys, kind):
+    corpus = os.path.join(fixture_dir, "corpus.tsv")
+    schema = os.path.join(fixture_dir, "schema.cfg")
+    config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf")
+    entities = tmp_path / "entities.tsv"
+    entities.write_text("PROPER\tZyx\nPROPER\tQwv\n", encoding="utf-8")
+    source = {"corpus": corpus, "schema": schema, "run config": config,
+              "entities": str(entities)}[kind]
+    marked = tmp_path / ("marked-" + os.path.basename(source))
+    with open(source, "rb") as f:
+        marked.write_bytes(b"\xef\xbb\xbf" + f.read())
+    corpus, schema, config, entities = (str(marked) if path == source else path
+                                        for path in (corpus, schema, config, str(entities)))
+    argv = (["run-experiment", "--config", config] if kind == "run config" else
+            ["augment", "--data", corpus, "--schema", schema, "--method", "er",
+             "--target-class", "CLA", "--n-samples", "3", "--seed", "1",
+             "--out", str(tmp_path / "er"), "--entities", entities])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: {marked}: " in err and "starts with a UTF-8 byte-order mark" in err
+    assert out == ""
+
+
+def test_bundled_lexicons_are_read_once_and_left_unchanged(tmp_path, fixture_dir, dev_dir,
+                                                           capsys):
+    lexicon, antonyms = morph.load_default_verb_lexicon(), morph.load_default_antonyms()
+    assert morph.load_default_verb_lexicon() is lexicon
+    assert morph.load_default_antonyms() is antonyms
+    data = ["--data", os.path.join(fixture_dir, "corpus.tsv"),
+            "--schema", os.path.join(fixture_dir, "schema.cfg")]
+
+    def augment_all(run_name):
+        outputs = {}
+        for method in aug.Method:
+            out = tmp_path / f"{run_name}-{method.value}"
+            code, stdout, _ = run(capsys, "augment", *data, "--method", method.value,
+                                  "--target-class", "CLA", "--n-samples", "20",
+                                  "--seed", "3", "--out", str(out), "--offline")
+            assert code == 0
+            outputs[method] = (stdout, (out / "augmented.tsv").read_bytes(),
+                               (out / "manifest.jsonl").read_bytes())
+        return outputs
+
+    first = augment_all("first")
+    assert run(capsys, "build-lexicons", *data, "--out", str(tmp_path / "lex"))[0] == 0
+    config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf", "vr-random")
+    assert run(capsys, "run-experiment", "--config", config)[0] == 0
+    assert augment_all("second") == first
+    assert morph.load_default_verb_lexicon() is lexicon
+    assert lexicon == morph.load_verb_lexicon(morph._data_text("verbs.tsv"),
+                                              morph.load_default_stoplist())
+    assert antonyms == morph.load_antonyms(morph._data_text("antonyms.tsv"))

@@ -104,6 +104,11 @@ class TestTokenLabelFile:
             parse_token_label_file(b"I\tO\nran away\tO\n", schema)
         assert exc.value.line == 2
 
+    def test_missing_and_extra_tab_in_one_block_report_the_first(self, schema):
+        # The block's fields still pair up, two per line, but not line by line.
+        with pytest.raises(ParseError, match=r"^line 2: expected 'token<TAB>label', got 1 fields"):
+            parse_token_label_file(b"a\tO\nO\nO\tO\tO\n", schema)
+
     def test_unknown_label(self, schema):
         with pytest.raises(SchemaError):
             parse_token_label_file(b"I\tBOGUS\n", schema)
@@ -169,6 +174,99 @@ def test_whitespace_in_a_token_is_reported_at_its_line(blocks, data):
         parse_token_label_file(serialize_token_label_file(documents), schema)
     assert exc.value.line == line_of[bad]
     assert str(exc.value).startswith(f"line {line_of[bad]}: bad token text ")
+
+
+def reference_parse(data: bytes, schema: LabelSchema) -> Dataset:
+    """The token-label parser as it read files line by line, kept as the reference."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}")
+    documents: list[Document] = []
+    texts: list[str] = []
+    labels: list[str] = []
+
+    def flush():
+        if texts:
+            documents.append(Document(id=f"d{len(documents)}", texts=texts, token_labels=labels))
+            texts.clear()
+            labels.clear()
+
+    known = frozenset(schema.labels)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw or raw.isspace():
+            flush()
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"expected 'token<TAB>label', got {len(fields)} fields", line=lineno)
+        token_text, label = fields
+        if not token_text or re.search(r"\s", token_text):
+            raise ParseError(f"bad token text {token_text!r}", line=lineno)
+        if label not in known:
+            raise SchemaError(f"line {lineno}: unknown label {label!r}")
+        texts.append(token_text)
+        labels.append(label)
+    flush()
+    return Dataset(schema=schema, documents=tuple(documents))
+
+
+SCHEMA = LabelSchema(outside_label="O", categories=("CLA", "QUE"))
+# Blank and whitespace-only lines separate blocks; `\x0c` also ends a line.
+SEPARATORS = st.lists(st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\x0c"]), max_size=3)
+LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\x0c"])
+
+
+@st.composite
+def token_label_lines(draw):
+    """Lines of a valid token-label file: separator runs around blocks of rows."""
+    lines = draw(SEPARATORS)
+    for block in draw(BLOCKS):
+        lines += [f"{token}\t{label}" for token, label in block] + draw(SEPARATORS)
+    return lines
+
+
+def join_lines(draw, lines) -> bytes:
+    text = "".join(line + draw(LINE_ENDINGS) for line in lines)
+    return text.encode("utf-8")
+
+
+def outcome(parse, data):
+    try:
+        return parse(data, SCHEMA)
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+@given(token_label_lines(), st.data())
+def test_block_parser_equals_the_line_parser_on_valid_files(lines, data):
+    encoded = join_lines(data.draw, lines)
+    assert parse_token_label_file(encoded, SCHEMA) == reference_parse(encoded, SCHEMA)
+
+
+FAULTS = st.sampled_from([
+    "tok",                 # no tab
+    "tok\tO\tO",           # two tabs
+    "\tO",                 # empty token
+    "to k\tO",             # token holding a space
+    "to\xa0k\tO",          # ... a no-break space
+    "to\x1fk\tO",          # ... a unit separator
+    "tok\tBOGUS",          # unknown label
+])
+
+
+@given(token_label_lines(), FAULTS, st.data())
+def test_block_parser_raises_the_line_parsers_error(lines, fault, data):
+    at = data.draw(st.integers(0, len(lines)))
+    encoded = join_lines(data.draw, lines[:at] + [fault] + lines[at:])
+    expected = outcome(reference_parse, encoded)
+    assert isinstance(expected, tuple)
+    assert outcome(parse_token_label_file, encoded) == expected
+
+
+def test_byte_order_mark_is_refused(schema):
+    with pytest.raises(ParseError, match="starts with a UTF-8 byte-order mark"):
+        parse_token_label_file("\ufeffFolks\tO\n".encode("utf-8"), schema)
 
 
 def test_whitespace_search_agrees_with_isspace_on_every_code_point():
