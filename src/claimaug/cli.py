@@ -42,6 +42,7 @@ from .errors import (
     ClaimaugError,
     ConfigurationError,
     ParseError,
+    SchemaError,
     TrainingDiverged,
     ValidationError,
 )
@@ -74,16 +75,16 @@ def _read_bytes(path: str) -> bytes:
 
 def _parse_file(path: str, parse: typing.Callable[[typing.Any], typing.Any],
                 read: typing.Callable[[str], typing.Any] = _read_text):
-    """`parse` of what `read` gets from the file; its ParseError names the file."""
+    """`parse` of what `read` gets from the file; its ParseError or SchemaError names the file."""
     data = read(path)
     try:
         return parse(data)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    except (ParseError, SchemaError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _load_schema(path: str) -> LabelSchema:
-    return parse_schema_config(_read_text(path))
+    return _parse_file(path, parse_schema_config)
 
 
 def _load_dataset(path: str, schema: LabelSchema) -> Dataset:
@@ -376,7 +377,7 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
     adv = _settings(textclf.AdvConfig, config)
     table = None
     if config.get("embeddings"):
-        table = textclf.EmbeddingTable.from_text(_read_text(config["embeddings"]))
+        table = _parse_file(config["embeddings"], textclf.EmbeddingTable.from_text)
     return textclf.train_classifier(
         [list(s.texts) for s in sentences],
         [s.sentence_label for s in sentences],
@@ -384,7 +385,7 @@ def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
 
 
 def cmd_train(args) -> int:
-    config = parse_kv_config(_read_text(args.config))
+    config = _parse_file(args.config, parse_kv_config)
     _check_config(config, args.command, args.model)
     schema, sentences = _load_sentences(config["train"], config["schema"])
     model = args.trainer(sentences, schema, config)
@@ -474,7 +475,7 @@ def _experiment(config: dict[str, str], workers: int
 
 
 def cmd_run_experiment(args) -> int:
-    config = parse_kv_config(_read_text(args.config))
+    config = _parse_file(args.config, parse_kv_config)
     report, blocks = _experiment(config, args.workers)
     out_dir = config.get("outdir", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -109,7 +109,7 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights. Three memos are never serialized. `_token_memo`
+    L*L transition weights. Two memos are never serialized. `_token_memo`
     maps each distinct token to `(values, unigram_ids, bigram_prefixes,
     pairs)`: its seven template values, the packed int32 ids of its seven
     unigram strings, the seven bigram strings it starts as the previous
@@ -118,8 +118,8 @@ class CrfModel:
     `_start_pairs` is the same pairs dict for the sentence start. Both hold
     ids, never weights, which `train` and callers change in place; they grow
     by about 100 bytes per distinct token pair and go with the model.
-    `_sequence_ids` holds the feature-id array of each token sequence
-    `build` saw, keyed by `tuple(texts)`, until `_compile` takes it.
+    After `build` they hold every token and token pair of its sequences, so
+    `_feature_ids` on a training sequence formats no feature string.
     """
 
     labels: tuple[str, ...]
@@ -129,8 +129,6 @@ class CrfModel:
     _token_memo: dict[str, _MemoEntry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _start_pairs: dict[str, bytes] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _sequence_ids: dict[tuple[str, ...], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,7 +147,9 @@ class CrfModel:
         position, a position's unigrams and then its bigrams, each in
         `_TEMPLATES` order. `_packed_ids` assigns them as it fills the
         memos, so each distinct token's unigram strings and each distinct
-        token pair's bigram strings are formatted and looked up once.
+        token pair's bigram strings are formatted and looked up once. The
+        packed ids are dropped: what `build` keeps is the index and the
+        memos, from which `_compile` reads each sequence's ids again.
         """
         model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0), l2=l2)
         index = model.feature_index
@@ -158,11 +158,8 @@ class CrfModel:
         def pack(features: Iterable[str]) -> bytes:
             return _pack_ids(*[add(feature, len(index)) for feature in features])
 
-        sequence_ids = model._sequence_ids
         for texts in token_seqs:
-            key = tuple(texts)
-            if key not in sequence_ids:
-                sequence_ids[key] = _as_ids(_packed_ids(model, key, pack))
+            _packed_ids(model, texts, pack)
         model.weights = np.zeros(len(index) * model.n_labels + model.n_labels ** 2)
         return model
 
@@ -353,11 +350,6 @@ def _packed_ids(model: CrfModel, texts: Sequence[str], pack: _Packer) -> bytes:
     return b"".join(parts)
 
 
-def _as_ids(packed: bytes) -> np.ndarray:
-    """The read-only int32 [n, 14] view of `_packed_ids` bytes."""
-    return np.frombuffer(packed, np.int32).reshape(-1, _N_FEATURES)
-
-
 def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     """int32 [n, 14] ids of each position's feature strings, -1 where the model lacks one.
 
@@ -366,8 +358,8 @@ def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     object; nothing writes to it.
     """
     get = model.feature_index.get
-    return _as_ids(_packed_ids(model, texts,
-                               lambda features: _pack_ids(*map(get, features, _ABSENT))))
+    packed = _packed_ids(model, texts, lambda features: _pack_ids(*map(get, features, _ABSENT)))
+    return np.frombuffer(packed, np.int32).reshape(-1, _N_FEATURES)
 
 
 # Sentences per chunk of `_length_chunks`. The bound keeps a chunk's
@@ -393,8 +385,8 @@ def _compile(model: CrfModel,
              data: Sequence[tuple[Sequence[str], Sequence[str]]]) -> _Compiled:
     """Compile each (texts, labels) pair into the arrays an SGD step reads, once.
 
-    A sequence that `build` already mapped takes its ids out of the model's
-    memo, so the ids are not held twice for long. Everything here depends
+    Each sequence's ids come from `_feature_ids`; on the sequences `build`
+    saw, every token and token pair is a memo hit. Everything here depends
     only on the sentence, so `train` does it once rather than on every step
     of every epoch. A first pass checks each pair and takes its ids and
     label ids, in order, so the first bad pair raises. Each `_length_chunks`
@@ -404,7 +396,6 @@ def _compile(model: CrfModel,
     sorted values and inverse. Equal ids get one run number in any order,
     so the sort need not be stable.
     """
-    known = model._sequence_ids
     n_labels = model.n_labels
     table = {label: i for i, label in enumerate(model.labels)}
     sequence_ids, label_ids = [], []
@@ -413,8 +404,7 @@ def _compile(model: CrfModel,
             raise ValidationError(f"sequence {k}: {len(texts)} tokens vs {len(labels)} labels")
         if not texts:
             raise ValidationError(f"sequence {k} is empty")
-        ids = known.pop(tuple(texts), None)
-        sequence_ids.append(_feature_ids(model, texts) if ids is None else ids)
+        sequence_ids.append(_feature_ids(model, texts))
         try:
             label_ids.append([table[label] for label in labels])
         except KeyError as exc:
@@ -458,6 +448,15 @@ def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     not n·14 short inner loops, and its bits are those of the sum over
     axis -2 of `[..., n, 14, L]`. `swapaxes` puts the positions back in
     front of the labels.
+
+    The gather stays fancy indexing, not `emission_weights.take(ids.T, 0)`.
+    With one label numpy lays the indexed result out position-major
+    (strides `(8, 112, 8)` for n = 7), so the reduce runs over a contiguous
+    axis with pairwise summation, which gives the bits of the sum over axis
+    -2. `take` returns C order and sums sequentially, which
+    `test_emissions_match_oracle` catches on a one-label model; with five
+    labels its bits agree and it cut the gather over 7,006 sentences from
+    0.101 to 0.075 s.
     """
     by_feature = ids.T
     rows = emission_weights[by_feature]
@@ -639,8 +638,8 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
 
     Mutates the model in place (single-threaded) and returns the full-dataset
     NLL before training and after each epoch. The data is compiled once,
-    which empties the model's per-sequence id memo; with l2 = 0 a step
-    updates only the sequence's feature rows and the transitions, the only
+    from the ids of the memos `build` filled; with l2 = 0 a step updates
+    only the sequence's feature rows and the transitions, the only
     weights with a nonzero gradient. A step whose forward scale is zero or
     not finite, or whose NLL is not finite, raises TrainingDiverged naming
     the epoch and the step; the NLL after an epoch, naming the epoch.
@@ -648,7 +647,6 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     if not data:
         raise ValidationError("empty training set")
     compiled = _compile(model, data)
-    model._sequence_ids.clear()
     rng = random.Random(config.seed)
     order = list(range(len(data)))
     history = [dataset_nll(model, compiled)]

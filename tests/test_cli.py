@@ -1151,6 +1151,39 @@ def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir,
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["schema line", "duplicate categories", "train-crf config",
+                                  "run-experiment config", "embeddings", "dev label"])
+def test_input_file_error_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir, capsys, kind):
+    corpus = os.path.join(fixture_dir, "corpus.tsv")
+    schema = os.path.join(fixture_dir, "schema.cfg")
+    bad = tmp_path / "bad-input"
+    if kind in ("schema line", "duplicate categories"):
+        bad.write_text("outside = O\ncategories CLA\n" if kind == "schema line"
+                       else "outside = O\ncategories = CLA, CLA\n", encoding="utf-8")
+        argv = ["stats", "--data", corpus, "--schema", str(bad)]
+    elif kind.endswith("config"):
+        bad.write_text(f"train = {corpus}\nschema {schema}\nseed = 1\n", encoding="utf-8")
+        argv = [kind.split()[0], "--config", str(bad)]
+    elif kind == "embeddings":
+        bad.write_text("foo 1.0 0.0\nbar 1.0\n", encoding="utf-8")
+        config = tmp_path / "emb.cfg"
+        config.write_text(f"train = {corpus}\nschema = {schema}\nembeddings = {bad}\n"
+                          "seed = 1\nepochs = 1\n", encoding="utf-8")
+        argv = ["train-clf", "--config", str(config)]
+    else:
+        with open(os.path.join(dev_dir, "corpus.tsv"), encoding="utf-8") as f:
+            token, _, rest = f.read().partition("\t")
+        bad.write_text(token + "\tBOGUS" + rest[rest.index("\n"):], encoding="utf-8")
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, "crf")
+        set_keys(config, f"dev = {bad}\n")
+        argv = ["run-experiment", "--config", config]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: ")
+    assert corpus not in err
+    assert out == ""
+
+
 def test_bundled_lexicons_are_read_once_and_left_unchanged(tmp_path, fixture_dir, dev_dir,
                                                            capsys):
     lexicon, antonyms = morph.load_default_verb_lexicon(), morph.load_default_antonyms()

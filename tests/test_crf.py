@@ -366,31 +366,39 @@ class TestFeatureIds:
         listed = [f for texts in seqs for feats in extract_features(texts) for f in feats]
         first_seen = list(dict.fromkeys(listed))
         assert list(model.feature_index.items()) == [(f, i) for i, f in enumerate(first_seen)]
-        for texts in seqs:
-            expected = [[model.feature_index[f] for f in feats]
-                        for feats in extract_features(texts)]
-            assert model._sequence_ids[tuple(texts)].tolist() == expected
 
     def test_memo_is_not_serialized(self, tmp_path):
         model = CrfModel.build(["A", "B"], [["Gut", "feels", "80", "%"]])
         before = json.dumps(model.to_dict())
         viterbi(model, ["Gut", "feels", "fine"])
         assert set(model._token_memo) == {"Gut", "feels", "80", "%", "fine"}
-        assert list(model._sequence_ids) == [("Gut", "feels", "80", "%")]
         assert json.dumps(model.to_dict()) == before
         path = tmp_path / "model.json"
         model.save(str(path))
         assert path.read_text(encoding="utf-8") == before
         loaded = CrfModel.load(str(path))
-        assert loaded._token_memo == {} and loaded._sequence_ids == {}
-        assert "_token_memo" not in repr(loaded) and "_sequence_ids" not in repr(loaded)
+        assert loaded._token_memo == {}
+        assert "_token_memo" not in repr(loaded)
 
-    def test_train_empties_the_sequence_memo(self):
-        data = separable_data()
-        model = CrfModel.build(["A", "B"], [t for t, _ in data])
-        assert set(model._sequence_ids) == {tuple(t) for t, _ in data}
-        train(model, data, TrainConfig(epochs=1, seed=0))
-        assert model._sequence_ids == {}
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6), min_size=1,
+                    max_size=5))
+    def test_build_leaves_every_training_sequence_in_the_memos(self, seqs):
+        """After `build`, a training sequence's ids are all memo hits: nothing grows."""
+        model = CrfModel.build(["A", "B"], seqs)
+
+        def sizes():
+            return (len(model.feature_index), len(model._token_memo), len(model._start_pairs),
+                    [len(entry[3]) for entry in model._token_memo.values()])
+
+        assert set(model._token_memo) == {token for texts in seqs for token in texts}
+        assert set(model._start_pairs) == {texts[0] for texts in seqs}
+        before = sizes()
+        for texts in seqs:
+            expected = [[model.feature_index[f] for f in feats]
+                        for feats in extract_features(texts)]
+            assert _feature_ids(model, texts).tolist() == expected
+        assert sizes() == before
 
 
 class TestViterbi:
@@ -826,7 +834,7 @@ class TestMatchesOracles:
         assert (model.labels, model.l2) == (expected.labels, expected.l2)
         for texts in seqs:
             ids = [[expected.feature_index[f] for f in feats] for feats in extract_features(texts)]
-            assert model._sequence_ids[tuple(texts)].tolist() == ids
+            assert _feature_ids(model, texts).tolist() == ids
 
     def test_build_on_fixture(self):
         labels, data = fixture_data()
