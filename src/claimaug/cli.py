@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import json
 import math
 import os
@@ -388,7 +389,10 @@ def cmd_train(args) -> int:
     config = _parse_file(args.config, parse_kv_config)
     _check_config(config, args.command, args.model)
     schema, sentences = _load_sentences(config["train"], config["schema"])
-    model = args.trainer(sentences, schema, config)
+    # Looked up at call time: the parser is cached, so a trainer bound into its
+    # defaults would outlive a later reassignment of the module global.
+    train = _train_crf_model if args.model == "crf" else _train_clf_model
+    model = train(sentences, schema, config)
     out = config.get("model_out", args.model_out)
     model.save(out)
     print(f"model: {out}")
@@ -498,7 +502,9 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="claimaug",
                                      description="Text augmentation and labeling bench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -539,12 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-crf", help="train the CRF sequence labeler")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train, model="crf", trainer=_train_crf_model, model_out="crf-model.json")
+    p.set_defaults(fn=cmd_train, model="crf", model_out="crf-model.json")
 
     p = sub.add_parser("train-clf", help="train the sentence classifier")
     p.add_argument("--config", required=True)
-    p.set_defaults(fn=cmd_train, model="textclf", trainer=_train_clf_model,
-                   model_out="clf-model.json")
+    p.set_defaults(fn=cmd_train, model="textclf", model_out="clf-model.json")
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--gold", required=True)
@@ -576,8 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except AugmentationError as exc:

@@ -157,7 +157,9 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     into token, label pairs, one per line. Only a block that fails is read
     line by line, to raise the first fault with its line number. A file
     that starts with a byte-order mark is refused, since the mark would
-    otherwise become part of the first token.
+    otherwise become part of the first token. Equal token texts and labels
+    across the whole file are one string object each, so a corpus holds one
+    string per distinct token or label rather than one per token.
     """
     try:
         text = data.decode("utf-8")
@@ -168,6 +170,8 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     known = frozenset(schema.labels)
     lines = text.splitlines()
     documents: list[Document] = []
+    # Maps each text to its first string object, so equal texts share one.
+    shared: dict[str, str] = {}
     start = 0
     # A blank or whitespace-only line ends a block; the sentinel ends the last.
     for end, raw in enumerate(lines + [""]):
@@ -181,8 +185,10 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
                     or not all(texts) or _WHITESPACE.search("".join(texts))
                     or not known.issuperset(labels)):
                 _raise_first_fault(block, start + 1, known)
-            documents.append(Document(id=f"d{len(documents)}", texts=texts,
-                                      token_labels=labels))
+            documents.append(Document(id=f"d{len(documents)}",
+                                      texts=tuple(map(shared.setdefault, texts, texts)),
+                                      token_labels=tuple(map(shared.setdefault, labels,
+                                                             labels))))
         start = end + 1
     return Dataset(schema=schema, documents=tuple(documents))
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import urllib.error
-import urllib.request
 from typing import Protocol
 
 from .errors import ConfigurationError, LlmTransportError
@@ -48,11 +46,21 @@ class EchoLlmClient:
 
 
 class HttpLlmClient:
+    """Client for the HTTP wire format in the module docstring.
+
+    `urllib.request` is imported at the first `complete` call, so a program
+    that never sends a request does not load the HTTP stack (`http.client`,
+    `ssl`, `email`).
+    """
+
     def __init__(self, endpoint: str, timeout: float = 30.0):
         self.endpoint = endpoint
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"prompt": prompt}).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(DEFAULT_TOKEN_ENV)

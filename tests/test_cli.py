@@ -738,6 +738,28 @@ class TestExperiments:
         assert code == 2
         assert "epochs must be an integer, got 'x'" in err
 
+    @pytest.mark.parametrize("command,trainer", [("train-crf", "_train_crf_model"),
+                                                 ("train-clf", "_train_clf_model")])
+    def test_train_calls_a_trainer_patched_after_the_parser_was_built(
+            self, tmp_path, fixture_dir, capsys, monkeypatch, command, trainer):
+        config = tmp_path / "train.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1",
+        ]) + "\n", encoding="utf-8")
+        # `main` has built (and cached) the parser before the patch.
+        assert run(capsys, "stats", "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                   "--schema", os.path.join(fixture_dir, "schema.cfg"))[0] == 0
+
+        def no_training(*args, **kwargs):
+            raise ConfigurationError("patched trainer called")
+
+        monkeypatch.setattr(cli, trainer, no_training)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert "patched trainer called" in err
+
     def test_missing_seed_rejected(self, tmp_path, fixture_dir, dev_dir, capsys):
         config = tmp_path / "noseed.cfg"
         config.write_text("\n".join([

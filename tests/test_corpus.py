@@ -244,6 +244,25 @@ def test_block_parser_equals_the_line_parser_on_valid_files(lines, data):
     assert parse_token_label_file(encoded, SCHEMA) == reference_parse(encoded, SCHEMA)
 
 
+@st.composite
+def files_with_repeats(draw) -> bytes:
+    """A valid token-label file whose tokens come from a small vocabulary, so texts repeat."""
+    vocabulary = draw(st.lists(TOKENS, min_size=1, max_size=4, unique=True))
+    rows = st.tuples(st.sampled_from(vocabulary), st.sampled_from(("O", "CLA", "QUE")))
+    lines = draw(SEPARATORS)
+    for block in draw(st.lists(st.lists(rows, min_size=1, max_size=8), max_size=5)):
+        lines += [f"{token}\t{label}" for token, label in block] + draw(SEPARATORS)
+    return join_lines(draw, lines)
+
+
+@given(files_with_repeats())
+def test_equal_texts_and_labels_are_one_string_object(data):
+    dataset = parse_token_label_file(data, SCHEMA)
+    for field in ("texts", "token_labels"):
+        strings = [s for doc in dataset.documents for s in getattr(doc, field)]
+        assert len({id(s) for s in strings}) == len(set(strings))
+
+
 FAULTS = st.sampled_from([
     "tok",                 # no tab
     "tok\tO\tO",           # two tabs

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimaug
 from claimaug import augment
 from claimaug.augment import LLM_BACKOFF_BASE_S, LLM_BACKOFF_CAP_S, llm_contradict
 from claimaug.errors import ConfigurationError, LlmTransportError
@@ -222,3 +226,28 @@ class TestOfflineClients:
         client = EchoLlmClient()
         reply = client.complete('Contradict this sentence with colorful words "Tea helps."')
         assert reply == "It is absolutely not true that Tea helps."
+
+
+HTTP_STACK_PROBE = """
+import sys, tempfile
+from claimaug import cli
+with tempfile.TemporaryDirectory() as work:
+    assert cli.main(["make-fixture", "--seed", "5", "--out", f"{work}/fx",
+                     "--sizes", "CLA=12,EXP=30,O=120,PER=40,QUE=30"]) == 0
+    assert cli.main(["augment", "--data", f"{work}/fx/corpus.tsv",
+                     "--schema", f"{work}/fx/schema.cfg", "--method", "llm",
+                     "--target-class", "CLA", "--n-samples", "5", "--seed", "7",
+                     "--offline", "--out", f"{work}/out"]) == 0
+print([m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules])
+"""
+
+
+def test_offline_commands_do_not_load_the_http_stack():
+    # A fresh interpreter: this test process has loaded urllib.request itself.
+    package_root = os.path.dirname(os.path.dirname(claimaug.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", HTTP_STACK_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
