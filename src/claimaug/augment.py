@@ -229,65 +229,52 @@ def verb_replace(sentence: LabeledSentence, lexicon: morph.VerbLexicon,
 
 
 def default_entity_annotator(texts: Sequence[str]) -> list[EntitySpan]:
-    """Pattern-based entity spans: PERCENT, CARDINAL, and PROPER runs.
+    """Pattern-based entity spans: PERCENT, CARDINAL, and PROPER runs, in one scan.
 
-    PERCENT is a number token followed by "%"/"percent" (or an attached
-    "80%"-style token); CARDINAL a standalone number token; PROPER a maximal
-    run of capitalized tokens not at sentence start. Returned spans never
-    overlap; earlier rules win. Only a token that starts with a decimal
-    digit, or one after the first that starts with an upper-case letter, can
-    be claimed, so a sentence with neither has no spans.
+    A number token followed by "%"/"percent" is a PERCENT span over both
+    tokens, an attached "80%"-style token is PERCENT, and any other number
+    token is CARDINAL. A token after the first that starts with an upper-case
+    letter opens a PROPER run, which extends over the tokens after it that do
+    the same. A number starts with a decimal digit (`str.isdecimal` is
+    exactly the patterns' `\\d`) and a PROPER token with a letter, so each
+    token is claimed by at most one rule and the spans come out
+    non-overlapping and in order.
     """
-    for i, text in enumerate(texts):
-        first = text[:1]
-        if first.isdecimal() or (i and first.isalpha() and first.isupper()):
-            break
-    else:
-        return []
     spans: list[EntitySpan] = []
-    taken = [False] * len(texts)
-
-    def claim(start: int, end: int, category: str):
-        spans.append(EntitySpan(start, end, category))
-        for i in range(start, end):
-            taken[i] = True
-
+    n = len(texts)
     i = 0
-    while i < len(texts):
-        if not taken[i] and _NUMBER_RE.match(texts[i]) and i + 1 < len(texts) \
-                and texts[i + 1] in ("%", "percent"):
-            claim(i, i + 2, "PERCENT")
-            i += 2
-            continue
-        if not taken[i] and _ATTACHED_PERCENT_RE.match(texts[i]):
-            claim(i, i + 1, "PERCENT")
+    while i < n:
+        text = texts[i]
+        first = text[:1]
+        start, category = i, None
         i += 1
-    for i, text in enumerate(texts):
-        if not taken[i] and _NUMBER_RE.match(text):
-            claim(i, i + 1, "CARDINAL")
-    run_start = None
-    for i in range(len(texts) + 1):
-        capitalized = (i < len(texts) and i > 0 and not taken[i]
-                       and texts[i][0].isalpha() and texts[i][0].isupper())
-        if capitalized and run_start is None:
-            run_start = i
-        elif not capitalized and run_start is not None:
-            claim(run_start, i, "PROPER")
-            run_start = None
-    return sorted(spans, key=lambda s: s.token_start)
+        if first.isdecimal():
+            if _NUMBER_RE.match(text):
+                if i < n and texts[i] in ("%", "percent"):
+                    category, i = "PERCENT", i + 1
+                else:
+                    category = "CARDINAL"
+            elif _ATTACHED_PERCENT_RE.match(text):
+                category = "PERCENT"
+        elif start and first.isalpha() and first.isupper():
+            category = "PROPER"
+            while i < n and texts[i][:1].isalpha() and texts[i][:1].isupper():
+                i += 1
+        if category is not None:
+            spans.append(EntitySpan(start, i, category))
+    return spans
 
 
 def build_entity_dictionary(sentences: Iterable[LabeledSentence]) -> EntityDictionary:
-    """Collect every annotated entity surface form per category, deduplicated."""
-    collected: dict[str, list[tuple[str, ...]]] = {}
-    seen: set[tuple[str, tuple[str, ...]]] = set()
+    """Collect every annotated entity surface form per category, deduplicated.
+
+    Forms keep the order of their first appearance, as do the categories.
+    """
+    collected: dict[str, dict[tuple[str, ...], None]] = {}
     for sentence in sentences:
         for span in default_entity_annotator(sentence.texts):
             surface = tuple(sentence.texts[span.token_start:span.token_end])
-            key = (span.category, surface)
-            if key not in seen:
-                seen.add(key)
-                collected.setdefault(span.category, []).append(surface)
+            collected.setdefault(span.category, {})[surface] = None
     return EntityDictionary(entries={c: tuple(forms) for c, forms in collected.items()})
 
 

@@ -232,6 +232,9 @@ def cmd_augment(args) -> int:
     print(f"method: {config.method.value}")
     print(f"requested: {config.n_samples * config.per_sentence}")
     print(f"produced: {len(samples)}")
+    # The distinct blocks of augmented.tsv: a repeated sample adds no new text.
+    distinct = {(tuple(s.sentence.texts), tuple(s.sentence.token_labels)) for s in samples}
+    print(f"distinct: {len(distinct)}")
     return 0
 
 

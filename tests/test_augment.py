@@ -161,8 +161,8 @@ class TestDefaultAnnotator:
         for _ in range(300):
             texts = [rng.choice(vocabulary) for _ in range(rng.randint(1, 12))]
             spans = default_entity_annotator(texts)
-            ordered = sorted(spans, key=lambda s: s.token_start)
-            for prev, cur in zip(ordered, ordered[1:]):
+            # In start order, each span ending before the next one starts.
+            for prev, cur in zip(spans, spans[1:]):
                 assert cur.token_start >= prev.token_end
 
 
@@ -202,10 +202,13 @@ def reference_annotator(texts):
 
 
 # '٣' is a decimal digit outside ASCII; '²' is a digit but not decimal, and
-# 'Ⅷ' is upper case but not a letter.
+# 'Ⅷ' is upper case but not a letter. 'Percent' is capitalized but not a
+# percent word; '1,5' is a number with a comma, which an attached percent may
+# not have; '7.5%' is an attached percent; '5%%' and '12a' start with a digit
+# but match no pattern; the titlecase letter 'ǅ' is not upper case.
 ANNOTATOR_TOKENS = st.sampled_from([
-    "0", "7", "42", "٣", "²", "%", "percent", "80%", "3.5", "Sibo", "IBS", "Mayo",
-    "Ⅷ", "the", "low", "of", "ran", ".",
+    "0", "7", "42", "٣", "²", "%", "percent", "Percent", "80%", "7.5%", "5%%", "3.5",
+    "1,5", "12a", "Sibo", "IBS", "Mayo", "Ⅷ", "ǅ", "the", "low", "of", "ran", ".",
 ])
 
 
@@ -215,7 +218,7 @@ def test_annotator_equals_the_reference(texts):
 
 
 def test_decimal_digits_are_the_number_patterns_digits():
-    # The annotator's early exit tests `str.isdecimal` where its patterns use `\d`.
+    # The annotator's first-character gate tests `str.isdecimal` where its patterns use `\d`.
     disagree = [hex(cp) for cp in range(sys.maxunicode + 1)
                 if (aug._NUMBER_RE.match(chr(cp)) is not None) != chr(cp).isdecimal()]
     assert disagree == []

@@ -170,6 +170,16 @@ class TestAugmentCommand:
         assert len(manifest.decode().splitlines()) == 40
         assert "produced: 40" in stdout
 
+    @pytest.mark.parametrize("method", ["aeda", "vr-random", "vr-antonym", "er", "llm"])
+    def test_distinct_counts_the_written_blocks(self, fixture_dir, tmp_path, capsys, method):
+        out = str(tmp_path / method)
+        code, stdout, _ = self.augment(capsys, fixture_dir, out, method=method, n="40")
+        assert code == 0
+        corpus, _ = self.read(out)
+        blocks = corpus.decode("utf-8").rstrip("\n").split("\n\n")
+        assert len(blocks) == 40
+        assert f"produced: 40\ndistinct: {len(set(blocks))}\n" in stdout
+
     def test_entity_free_corpus_exits_3(self, tmp_path, capsys):
         corpus = tmp_path / "plain.tsv"
         corpus.write_text("sky\tCLA\nwas\tCLA\nblue\tCLA\n.\tCLA\n", encoding="utf-8")
@@ -688,6 +698,25 @@ class TestExperiments:
         code, _, _ = run(capsys, "run-experiment", "--config", config)
         assert code == 0
         assert (tmp_path / "out-textclf-er" / "report.json").exists()
+
+    def test_entities_file_from_build_lexicons_gives_the_harvested_bytes(
+            self, tmp_path, fixture_dir, capsys):
+        data = os.path.join(fixture_dir, "corpus.tsv")
+        schema = os.path.join(fixture_dir, "schema.cfg")
+        lexicons = tmp_path / "lex"
+        code, _, _ = run(capsys, "build-lexicons", "--data", data, "--schema", schema,
+                         "--out", str(lexicons))
+        assert code == 0
+        outputs = {}
+        for name, extra in (("harvested", ()),
+                            ("file", ("--entities", str(lexicons / "entities.tsv")))):
+            out = tmp_path / name
+            code, _, _ = run(capsys, "augment", "--data", data, "--schema", schema,
+                             "--method", "er", "--target-class", "CLA", "--n-samples", "100",
+                             "--seed", "7", "--out", str(out), *extra)
+            assert code == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("augmented.tsv", "manifest.jsonl")]
+        assert outputs["file"] == outputs["harvested"]
 
     @pytest.mark.parametrize("model,method,key,value", [
         ("crf", "none", "epochs", "x"),

@@ -27,6 +27,10 @@ PINNED = {
         "db7475831d521eb71dc92c6312b33012fdf3e6495e5a8b75c9e9a27cf5585a35",
     "make-fixture/bookkeeping.json":
         "8378c3dacfc3799e4a4155477e05f77d27607cc3f151c7627cb256deb6f75138",
+    "build-lexicons/verbs.tsv":
+        "70c478865bababf05eaf5d2bd06968d27c5648b140899e71dd4936cdf1c0310c",
+    "build-lexicons/entities.tsv":
+        "686d17eec39ac05811891b139554a1632d6000c5c9517cf5f350ae7c248cc07c",
     "split":
         "e0ec9542ed11f87970abd3f808e866858cbcf8c6e7e613599ae5af74d642ce23",
     "augment/aeda/augmented.tsv":
@@ -93,6 +97,11 @@ def produce_digests(work: str) -> dict[str, str]:
     for name in ("corpus.tsv", "schema.cfg", "bookkeeping.json"):
         digests[f"make-fixture/{name}"] = _sha256(os.path.join(fixture, name))
     data, schema = os.path.join(fixture, "corpus.tsv"), os.path.join(fixture, "schema.cfg")
+
+    lexicons = os.path.join(work, "lex")
+    _run("build-lexicons", "--data", data, "--schema", schema, "--out", lexicons)
+    for name in ("verbs.tsv", "entities.tsv"):
+        digests[f"build-lexicons/{name}"] = _sha256(os.path.join(lexicons, name))
 
     split_out = os.path.join(work, "split.tsv")
     _run("split", "--data", data, "--schema", schema, "--out", split_out)
