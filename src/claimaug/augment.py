@@ -17,7 +17,6 @@ import re
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -512,5 +511,8 @@ def augment_minority(sentences: Sequence[LabeledSentence], config: AugmentConfig
 
     if workers == 1 or config.method is not Method.LLM:
         return run_batches(map)
+    # Imported here: only llm runs with more than one worker start a pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return run_batches(pool.map)

@@ -5,6 +5,12 @@ so the class signal is learnable but imperfect: the two claim-like classes
 share a small vocabulary, and every class shares subjects and filler words.
 The generator tallies its own statistics while emitting tokens; those
 tallies serve as an independent oracle for the corpus and purity statistics.
+
+Every draw goes through `getrandbits` and `random()` of one
+`random.Random(seed)`, the Mersenne Twister stream itself, with the
+`choice`, `randint`, `sample` and `shuffle` algorithms written out here. So
+the corpus depends only on the seed's stream, not on how a Python version
+implements those methods.
 """
 
 from __future__ import annotations
@@ -95,31 +101,50 @@ class Bookkeeping:
         }
 
 
-def _make_sentence(label: str, rng: random.Random, lexicon: morph.VerbLexicon,
-                   impure_frac: float) -> tuple[list[str], list[str], bool]:
-    keywords = rng.sample(KEYWORDS[label], rng.randint(2, 3))
-    verb = morph.conjugate(rng.choice(VERBS[label]), rng.choice(_TENSES), lexicon)
-    middle = keywords + rng.sample(FILLER, rng.randint(2, 4))
-    rng.shuffle(middle)
-    texts = [rng.choice(SUBJECTS), verb] + middle
-    if rng.random() < 0.5:
-        kind = rng.randrange(3)
-        if kind == 0:
-            entity = [str(rng.randint(5, 99)), "%"]
-        elif kind == 1:
-            entity = [str(rng.randint(2, 500))]
-        else:
-            entity = [rng.choice(PROPER_NAMES)]
-        at = rng.randint(1, len(texts))
-        texts[at:at] = entity
-    texts.append("?" if label == "QUE" else ("!" if rng.random() < 0.1 else "."))
+def _draws(rng: random.Random):
+    """`below(n)`, `sample` and `shuffle` drawn on `rng` through its
+    `getrandbits` only. They run CPython's algorithms for `randrange(n)`,
+    `sample` and `shuffle`, so they give those methods' results."""
+    getrandbits = rng.getrandbits
 
-    labels = [label] * len(texts)
-    uniform = True
-    if label != SCHEMA.outside_label and rng.random() < impure_frac:
-        labels[-1] = SCHEMA.outside_label
-        uniform = False
-    return texts, labels, uniform
+    def below(n: int) -> int:
+        # CPython's Random._randbelow_with_getrandbits: a uniform int in [0, n).
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def sample(population: tuple[str, ...], k: int) -> list[str]:
+        # random.Random.sample for k <= 5, where its small-set size is 21: a
+        # shrinking pool for populations of up to 21 items, rejection of
+        # repeated indexes above. Every k drawn here is at most 4, so the
+        # branches for larger k are not ported.
+        n = len(population)
+        result = []
+        if n <= 21:
+            pool = list(population)
+            for i in range(k):
+                j = below(n - i)
+                result.append(pool[j])
+                pool[j] = pool[n - i - 1]
+        else:
+            selected: set[int] = set()
+            for _ in range(k):
+                j = below(n)
+                while j in selected:
+                    j = below(n)
+                selected.add(j)
+                result.append(population[j])
+        return result
+
+    def shuffle(items: list) -> None:
+        # random.Random.shuffle's Fisher-Yates loop.
+        for i in range(len(items) - 1, 0, -1):
+            j = below(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    return below, sample, shuffle
 
 
 def generate(sizes: dict[str, int] | None = None, seed: int = 0,
@@ -129,29 +154,60 @@ def generate(sizes: dict[str, int] | None = None, seed: int = 0,
     for label in sizes:
         SCHEMA.check(label)
     rng = random.Random(seed)
+    below, sample, shuffle = _draws(rng)
+    uniform01 = rng.random
     lexicon = morph.load_default_verb_lexicon()
+    # Each drawn label's verb forms, indexed [verb][tense].
+    forms = {label: [[morph.conjugate(verb, tense, lexicon) for tense in _TENSES]
+                     for verb in VERBS[label]]
+             for label in sizes}
 
     sentence_pool: list[tuple[list[str], list[str]]] = []
     per_class = {label: 0 for label in SCHEMA.labels}
     label_dist = {label: 0 for label in SCHEMA.labels}
     words: set[str] = set()
     n_uniform = 0
+    outside = SCHEMA.outside_label
     for label in sorted(sizes):
+        keywords, verb_forms = KEYWORDS[label], forms[label]
         for _ in range(sizes[label]):
-            texts, labels, uniform = _make_sentence(label, rng, lexicon, impure_frac)
+            # The draw order is part of the corpus: the count before the
+            # sample, the verb before the tense.
+            middle = sample(keywords, 2 + below(2))
+            verb = verb_forms[below(len(verb_forms))][below(len(_TENSES))]
+            middle += sample(FILLER, 2 + below(3))
+            shuffle(middle)
+            texts = [SUBJECTS[below(len(SUBJECTS))], verb] + middle
+            if uniform01() < 0.5:
+                kind = below(3)
+                if kind == 0:
+                    entity = [str(5 + below(95)), "%"]
+                elif kind == 1:
+                    entity = [str(2 + below(499))]
+                else:
+                    entity = [PROPER_NAMES[below(len(PROPER_NAMES))]]
+                at = 1 + below(len(texts))
+                texts[at:at] = entity
+            texts.append("?" if label == "QUE" else ("!" if uniform01() < 0.1 else "."))
+
+            labels = [label] * len(texts)
+            if label != outside and uniform01() < impure_frac:
+                labels[-1] = outside
+                label_dist[outside] += 1
+                label_dist[label] += len(texts) - 1
+            else:
+                n_uniform += 1
+                label_dist[label] += len(texts)
             sentence_pool.append((texts, labels))
             per_class[label] += 1
-            n_uniform += uniform
-            for t, l in zip(texts, labels):
-                words.add(t)
-                label_dist[l] += 1
-    rng.shuffle(sentence_pool)
+            words.update(texts)
+    shuffle(sentence_pool)
 
     documents = []
     max_length = 0
     i = 0
     while i < len(sentence_pool):
-        take = rng.randint(1, 4)
+        take = 1 + below(4)
         group = sentence_pool[i:i + take]
         i += take
         texts = [t for sent_texts, _ in group for t in sent_texts]

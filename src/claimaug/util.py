@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
@@ -17,6 +16,10 @@ def derive_seed(*parts: object) -> int:
     The same parts always give the same seed on any platform or process, so
     everything downstream of one master seed stays reproducible.
     """
+    # Imported on first use: hashlib loads OpenSSL's libcrypto, which the
+    # commands that derive no seed do not need.
+    import hashlib
+
     data = "".join(f"{part!r}\x1f" for part in parts).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 

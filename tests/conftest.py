@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import claimaug
 from claimaug import morph
 from claimaug.corpus import LabelSchema
 from claimaug.errors import LlmTransportError
@@ -29,6 +33,18 @@ def lexicon() -> morph.VerbLexicon:
 @pytest.fixture(scope="session")
 def antonyms() -> morph.AntonymLexicon:
     return morph.load_default_antonyms()
+
+
+def last_line_in_fresh_interpreter(code: str) -> str:
+    """Run `code` in a new Python process that imports this package; returns
+    the last line it prints. A test process has loaded modules of its own."""
+    package_root = os.path.dirname(os.path.dirname(claimaug.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1]
 
 
 class ScriptedRng:

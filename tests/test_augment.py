@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import sys
 
@@ -504,7 +505,7 @@ class TestThreadsOnlyForLlm:
                                master_seed=6)
         client = MockLlmClient(reply="Not so.")
         serial = augment_minority(sentences, config, llm_client=client, workers=1)
-        monkeypatch.setattr(aug, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         if method is Method.LLM:
             with pytest.raises(AssertionError, match="thread pool"):
                 augment_minority(sentences, config, llm_client=client, workers=4)

@@ -15,6 +15,7 @@ from claimaug import morph
 from claimaug.cli import CONFIG_KEYS, _load_sentences, main
 from claimaug.crf import TrainConfig
 from claimaug.errors import ConfigurationError
+from conftest import last_line_in_fresh_interpreter
 
 
 def run(capsys, *argv):
@@ -1264,3 +1265,21 @@ def test_bundled_lexicons_are_read_once_and_left_unchanged(tmp_path, fixture_dir
     assert lexicon == morph.load_verb_lexicon(morph._data_text("verbs.tsv"),
                                               morph.load_default_stoplist())
     assert antonyms == morph.load_antonyms(morph._data_text("antonyms.tsv"))
+
+
+SEEDLESS_IMPORTS_PROBE = """
+import sys, tempfile
+from claimaug import cli
+with tempfile.TemporaryDirectory() as work:
+    assert cli.main(["make-fixture", "--seed", "5", "--out", f"{work}/fx",
+                     "--sizes", "CLA=12,EXP=30,O=120,PER=40,QUE=30"]) == 0
+    assert cli.main(["stats", "--data", f"{work}/fx/corpus.tsv",
+                     "--schema", f"{work}/fx/schema.cfg"]) == 0
+print([m for m in ("hashlib", "_hashlib", "concurrent.futures") if m in sys.modules])
+"""
+
+
+def test_commands_that_derive_no_seed_load_neither_hashlib_nor_a_thread_pool():
+    # hashlib is loaded by the first derived seed, concurrent.futures by the
+    # first llm thread pool.
+    assert last_line_in_fresh_interpreter(SEEDLESS_IMPORTS_PROBE) == "[]"

@@ -1,8 +1,5 @@
 import io
 import json
-import os
-import subprocess
-import sys
 import threading
 import urllib.error
 import urllib.request
@@ -12,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import claimaug
 from claimaug import augment
 from claimaug.augment import LLM_BACKOFF_BASE_S, LLM_BACKOFF_CAP_S, llm_contradict
 from claimaug.errors import ConfigurationError, LlmTransportError
 from claimaug.llmclient import EchoLlmClient, HttpLlmClient
 from claimaug.senttok import LabeledSentence
-from conftest import MockLlmClient
+from conftest import MockLlmClient, last_line_in_fresh_interpreter
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -243,11 +239,4 @@ print([m for m in ("urllib.request", "http.client", "ssl") if m in sys.modules])
 
 
 def test_offline_commands_do_not_load_the_http_stack():
-    # A fresh interpreter: this test process has loaded urllib.request itself.
-    package_root = os.path.dirname(os.path.dirname(claimaug.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", HTTP_STACK_PROBE], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert last_line_in_fresh_interpreter(HTTP_STACK_PROBE) == "[]"

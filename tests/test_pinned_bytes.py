@@ -27,6 +27,14 @@ PINNED = {
         "db7475831d521eb71dc92c6312b33012fdf3e6495e5a8b75c9e9a27cf5585a35",
     "make-fixture/bookkeeping.json":
         "8378c3dacfc3799e4a4155477e05f77d27607cc3f151c7627cb256deb6f75138",
+    "make-fixture/seed=7/corpus.tsv":
+        "6d934979a4b5e695d0ac63b9785ecc3205990c3c1e1791f7706fba7e4094bf0d",
+    "make-fixture/seed=7/bookkeeping.json":
+        "218956e65a189310eef93ce20ff4f9c3158bd12ede1f53f9a90dc84859a9e388",
+    "make-fixture/seed=8/corpus.tsv":
+        "ca997317663428020cd28599374e3ba19449c36ff906c55e62813256b073980b",
+    "make-fixture/seed=8/bookkeeping.json":
+        "2bd2eea862b834c1a06d8e2d62578cc375b1f62958ae25d6c822b382806b1277",
     "build-lexicons/verbs.tsv":
         "70c478865bababf05eaf5d2bd06968d27c5648b140899e71dd4936cdf1c0310c",
     "build-lexicons/entities.tsv":
@@ -96,6 +104,12 @@ def produce_digests(work: str) -> dict[str, str]:
     _run("make-fixture", "--seed", "6", "--out", dev, "--sizes", SIZES)
     for name in ("corpus.tsv", "schema.cfg", "bookkeeping.json"):
         digests[f"make-fixture/{name}"] = _sha256(os.path.join(fixture, name))
+    # The default-size train and dev fixtures that README's numbers come from.
+    for seed in ("7", "8"):
+        default = os.path.join(work, f"default-{seed}")
+        _run("make-fixture", "--seed", seed, "--out", default)
+        for name in ("corpus.tsv", "bookkeeping.json"):
+            digests[f"make-fixture/seed={seed}/{name}"] = _sha256(os.path.join(default, name))
     data, schema = os.path.join(fixture, "corpus.tsv"), os.path.join(fixture, "schema.cfg")
 
     lexicons = os.path.join(work, "lex")
