@@ -218,6 +218,9 @@ def _write_augmented(samples: list[aug.AugmentedSample], out_dir: str) -> None:
 
 
 def cmd_augment(args) -> int:
+    if args.offline and args.llm_endpoint:
+        raise ConfigurationError("--offline and --llm-endpoint exclude each other: "
+                                 "the offline client sends no request")
     _, sentences = _load_sentences(args.data, args.schema)
     config = aug.AugmentConfig(
         target_class=args.target_class,
@@ -337,6 +340,13 @@ def _check_config(config: dict[str, str], command: str, model: str) -> None:
     if method == aug.Method.LLM.value and not (config.get("offline") == "true"
                                                or "llm.endpoint" in config):
         raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
+    # In each pair below one key overrides the other, which would go unread.
+    if config.get("offline") == "true" and "llm.endpoint" in config:
+        raise ConfigurationError("offline = true and llm.endpoint exclude each other: "
+                                 "the offline client sends no request")
+    if "dim" in config and "embeddings" in config:
+        raise ConfigurationError("config keys 'dim' and 'embeddings' exclude each other: "
+                                 "the embeddings file sets the dimension")
 
 
 def _value(key: str, text: str, kind: type):
@@ -367,9 +377,8 @@ def _settings(cls, config: dict[str, str], prefix: str = "", **fallback):
 
 def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
     train_config = _settings(crf_mod.TrainConfig, config)
-    l2 = {"l2": _value("l2", config["l2"], float)} if "l2" in config else {}
     data = [(list(s.texts), list(s.token_labels)) for s in sentences]
-    model = crf_mod.CrfModel.build(schema.labels, [texts for texts, _ in data], **l2)
+    model = crf_mod.CrfModel.build(schema.labels, [texts for texts, _ in data])
     history = crf_mod.train(model, data, train_config)
     for epoch, nll in enumerate(history):
         print(f"epoch {epoch}: nll {nll:.4f}")
@@ -378,14 +387,13 @@ def _train_crf_model(sentences, schema, config) -> crf_mod.CrfModel:
 
 def _train_clf_model(sentences, schema, config) -> textclf.SoftmaxClassifier:
     train_config = _settings(textclf.ClfTrainConfig, config)
-    adv = _settings(textclf.AdvConfig, config)
     table = None
     if config.get("embeddings"):
         table = _parse_file(config["embeddings"], textclf.EmbeddingTable.from_text)
     return textclf.train_classifier(
         [list(s.texts) for s in sentences],
         [s.sentence_label for s in sentences],
-        schema.labels, train_config, adv, table=table)
+        schema.labels, train_config, table=table)
 
 
 def cmd_train(args) -> int:
@@ -428,8 +436,10 @@ def cmd_compare(args) -> int:
     reports = {}
     for spec_arg in args.reports:
         name, _, path = spec_arg.partition("=")
-        if not path:
+        if not name or not path:
             raise ConfigurationError(f"expected NAME=PATH, got {spec_arg!r}")
+        if name in reports:
+            raise ConfigurationError(f"--reports names {name!r} twice")
         reports[name] = _parse_file(path, metrics_mod.MetricsReport.from_json)
     comparison = metrics_mod.compare(reports)
     output = comparison.to_json() if args.format == "json" else comparison.to_text()

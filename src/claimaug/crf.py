@@ -125,22 +125,13 @@ class CrfModel:
     labels: tuple[str, ...]
     feature_index: dict[str, int]
     weights: np.ndarray
-    l2: float = 0.0
     _token_memo: dict[str, _MemoEntry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _start_pairs: dict[str, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # Both `build` and `from_dict` construct through here, so a model
-        # that saves can also load.
-        if type(self.l2) not in (int, float) or not 0.0 <= self.l2 < math.inf:
-            raise ValidationError(f"model l2 must be finite and >= 0, got {self.l2!r}")
-        self.l2 = float(self.l2)
-
     @classmethod
-    def build(cls, labels: Sequence[str], token_seqs: Sequence[Sequence[str]],
-              l2: float = 0.0) -> "CrfModel":
+    def build(cls, labels: Sequence[str], token_seqs: Sequence[Sequence[str]]) -> "CrfModel":
         """A zero-weight model over the features of `token_seqs`, in one pass.
 
         Ids follow first appearance in `extract_features` order: position by
@@ -151,7 +142,7 @@ class CrfModel:
         packed ids are dropped: what `build` keeps is the index and the
         memos, from which `_compile` reads each sequence's ids again.
         """
-        model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0), l2=l2)
+        model = cls(labels=tuple(labels), feature_index={}, weights=np.zeros(0))
         index = model.feature_index
         add = index.setdefault
 
@@ -184,23 +175,20 @@ class CrfModel:
         return {
             "format_version": FORMAT_VERSION,
             "labels": list(self.labels),
-            "l2": self.l2,
             "feature_index": self.feature_index,
             "weights": self.weights.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrfModel":
-        check_model_dict(data, FORMAT_VERSION, {"labels", "l2", "feature_index", "weights"},
-                         "labels")
+        check_model_dict(data, FORMAT_VERSION, {"labels", "feature_index", "weights"}, "labels")
         labels, index = data["labels"], data["feature_index"]
         ids = list(index.values()) if type(index) is dict else None
         if (ids is None or not all(type(i) is int for i in ids)
                 or sorted(ids) != list(range(len(ids)))):
             raise ValidationError("feature ids must be exactly 0..F-1, each used once")
         weights = number_array(data["weights"], "weights", 1)
-        model = cls(labels=tuple(labels), feature_index=dict(index), weights=weights,
-                    l2=data["l2"])
+        model = cls(labels=tuple(labels), feature_index=dict(index), weights=weights)
         expected = len(model.feature_index) * model.n_labels + model.n_labels ** 2
         if model.weights.shape != (expected,):
             raise ValidationError(f"weight vector has {model.weights.size} entries, "
@@ -224,10 +212,13 @@ class TrainConfig:
     learning_rate: float = 0.1
     decay: float = 0.01
     seed: int = 0
+    l2: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.learning_rate <= 0 or self.decay < 0:
             raise ValidationError("hyperparameters must be positive (decay >= 0)")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValidationError(f"l2 must be finite and >= 0, got {self.l2!r}")
 
 
 def _forward_backward(emissions: np.ndarray, transitions: np.ndarray,
@@ -509,27 +500,26 @@ def _sentence_gradient(emission_weights: np.ndarray, transitions: np.ndarray, l2
     return nll, rows[first:], emission_grad[first:], transition_grad
 
 
-def _dense_gradient(model: CrfModel, rows: np.ndarray, emission_grad: np.ndarray,
+def _dense_gradient(model: CrfModel, l2: float, rows: np.ndarray, emission_grad: np.ndarray,
                     transition_grad: np.ndarray) -> np.ndarray:
-    grad = model.l2 * model.weights
+    grad = l2 * model.weights
     split = len(model.feature_index) * model.n_labels
     grad[:split].reshape(-1, model.n_labels)[rows] = emission_grad
     grad[split:] = transition_grad.ravel()
     return grad
 
 
-def nll_and_gradient(model: CrfModel, texts: Sequence[str],
-                     gold_labels: Sequence[str]) -> tuple[float, np.ndarray]:
+def nll_and_gradient(model: CrfModel, texts: Sequence[str], gold_labels: Sequence[str],
+                     l2: float = 0.0) -> tuple[float, np.ndarray]:
     """Negative log-likelihood with an L2 term, and its exact dense gradient.
 
     Gradient = model expectations (forward-backward marginals) minus
     empirical counts, plus l2 * weights.
     """
     sentence = _compile(model, [(texts, gold_labels)])[0]
-    nll, *sparse = _sentence_gradient(model.emission_weights, model.transitions, model.l2,
-                                      sentence)
-    nll += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
-    return nll, _dense_gradient(model, *sparse)
+    nll, *sparse = _sentence_gradient(model.emission_weights, model.transitions, l2, sentence)
+    nll += 0.5 * l2 * float(np.dot(model.weights, model.weights))
+    return nll, _dense_gradient(model, l2, *sparse)
 
 
 def viterbi(model: CrfModel, texts: Sequence[str]) -> list[str]:
@@ -612,8 +602,8 @@ def decode(model: CrfModel, seqs: Sequence[Sequence[str]]) -> list[list[str]]:
     return decoded
 
 
-def dataset_nll(model: CrfModel,
-                data: Sequence[tuple[Sequence[str], Sequence[str]]] | _Compiled) -> float:
+def dataset_nll(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]] | _Compiled,
+                l2: float = 0.0) -> float:
     """NLL of every sequence plus the L2 term.
 
     `data` is (texts, labels) pairs or their `_compile` result. One
@@ -629,7 +619,7 @@ def dataset_nll(model: CrfModel,
         emissions = _emissions(weights, ids)
         total += (float(np.add.reduce(_forward_backward(emissions, transitions)))
                   - _gold_score(emissions, transitions, gold, pairs))
-    return total + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
+    return total + 0.5 * l2 * float(np.dot(model.weights, model.weights))
 
 
 def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
@@ -649,7 +639,7 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
     compiled = _compile(model, data)
     rng = random.Random(config.seed)
     order = list(range(len(data)))
-    history = [dataset_nll(model, compiled)]
+    history = [dataset_nll(model, compiled, config.l2)]
     emission_weights = model.emission_weights
     transitions = model.transitions
     step = 0
@@ -658,7 +648,7 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
         for idx in order:
             try:
                 nll, rows, emission_grad, transition_grad = _sentence_gradient(
-                    emission_weights, transitions, model.l2, compiled[idx])
+                    emission_weights, transitions, config.l2, compiled[idx])
                 if not math.isfinite(nll):
                     raise TrainingDiverged("NLL became non-finite")
             except TrainingDiverged as exc:
@@ -666,14 +656,15 @@ def train(model: CrfModel, data: Sequence[tuple[Sequence[str], Sequence[str]]],
                     f"{exc} at epoch {epoch}, step {step} "
                     f"(lr={config.learning_rate}, decay={config.decay})") from None
             lr = config.learning_rate / (1.0 + config.decay * step)
-            if model.l2:
-                model.weights -= lr * _dense_gradient(model, rows, emission_grad, transition_grad)
+            if config.l2:
+                model.weights -= lr * _dense_gradient(model, config.l2, rows, emission_grad,
+                                                      transition_grad)
             else:
                 emission_weights[rows] -= lr * emission_grad
                 transitions -= lr * transition_grad
             step += 1
         try:
-            history.append(dataset_nll(model, compiled))
+            history.append(dataset_nll(model, compiled, config.l2))
             if not math.isfinite(history[-1]):
                 raise TrainingDiverged("NLL became non-finite")
         except TrainingDiverged as exc:

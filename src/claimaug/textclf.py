@@ -91,40 +91,24 @@ def embed_sentence(texts: Sequence[str], table: EmbeddingTable) -> np.ndarray:
     return rows.mean(axis=0)
 
 
-def fgsm_perturb(embedding: np.ndarray, loss_gradient: np.ndarray,
-                 epsilon: float) -> np.ndarray:
-    """x + epsilon * sign(grad); coordinates with zero gradient stay put."""
-    if epsilon < 0:
-        raise ValidationError("epsilon must be >= 0")
-    return embedding + epsilon * np.sign(loss_gradient)
-
-
-@dataclass(frozen=True)
-class AdvConfig:
-    epsilon: float = 0.0
-    adv_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
-        if not 0.0 <= self.adv_weight <= 1.0:
-            raise ValidationError("adv_weight must be in [0, 1]")
-
-    @property
-    def active(self) -> bool:
-        return self.epsilon > 0 and self.adv_weight > 0
-
-
 @dataclass(frozen=True)
 class ClfTrainConfig:
+    """Training settings; adversarial training is on when epsilon and adv_weight are both > 0."""
+
     epochs: int = 15
     learning_rate: float = 0.5
     dim: int = 32
     seed: int = 0
+    epsilon: float = 0.0
+    adv_weight: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 1 or self.learning_rate <= 0 or self.dim < 1:
             raise ValidationError("hyperparameters must be positive")
+        if self.epsilon < 0:
+            raise ValidationError("epsilon must be >= 0")
+        if not 0.0 <= self.adv_weight <= 1.0:
+            raise ValidationError("adv_weight must be in [0, 1]")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -211,10 +195,9 @@ class _SgdStep:
     much as a ufunc call on these sizes.
     """
 
-    def __init__(self, n_classes: int, dim: int, adv: AdvConfig | None,
-                 learning_rate: float = 1.0):
-        self.adv = adv if adv is not None and adv.active else None
-        self.learning_rate = np.array(learning_rate)
+    def __init__(self, n_classes: int, dim: int, config: ClfTrainConfig):
+        self.adversarial = config.epsilon > 0 and config.adv_weight > 0
+        self.learning_rate = np.array(config.learning_rate)
         self.total = np.empty(())
         self.dlogits = np.empty((2, n_classes))
         self.inputs = np.ones((2, dim + 1))
@@ -224,13 +207,13 @@ class _SgdStep:
         self.x0, self.x1 = self.inputs[:, :dim]
         self.d0_col = self.dlogits[0, :, None]
         self.dW, self.db = self.grad[:, :dim], self.grad[:, dim]
-        if self.adv is not None:
-            self.epsilon = np.array(adv.epsilon)
+        if self.adversarial:
+            self.epsilon = np.array(config.epsilon)
             self.dx = np.empty(dim)
             self.d_col = self.dlogits[:, :, None]
             self.inputs_row = self.inputs[:, None, :]
             self.outer0, self.outer1 = self.outer
-            self.mix = np.array([1.0 - adv.adv_weight, adv.adv_weight])[:, None, None]
+            self.mix = np.array([1.0 - config.adv_weight, config.adv_weight])[:, None, None]
 
     def _dlogits(self, weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
                  out: np.ndarray) -> float:
@@ -254,7 +237,7 @@ class _SgdStep:
         """
         self.x0[:] = x
         p_y = self._dlogits(weights, bias, self.x0, y, self.d0)
-        if self.adv is None:
+        if not self.adversarial:
             np.multiply(self.d0_col, self.inputs[0], out=self.grad)
             return p_y, None
         # FGSM: x + epsilon * sign(input gradient at the clean point).
@@ -280,8 +263,7 @@ class _SgdStep:
 
 
 def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
-                      adv: AdvConfig | None = None,
-                      ) -> tuple[float, np.ndarray, np.ndarray]:
+                      config: ClfTrainConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss and the weight and bias gradients for one example.
 
     With adversarial training active the perturbation direction, the input
@@ -290,24 +272,17 @@ def example_gradients(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: i
     of the clean and adversarial-point gradients. Training runs the same
     arithmetic through `_SgdStep`.
     """
-    step = _SgdStep(*weights.shape, adv)
+    step = _SgdStep(*weights.shape, config)
     p_y, p_adv_y = step.gradients(weights, bias, x, y)
     loss = _nll(p_y)
     if p_adv_y is not None:
-        w = adv.adv_weight
+        w = config.adv_weight
         loss = (1.0 - w) * loss + w * _nll(p_adv_y)
     return loss, step.dW, step.db
 
 
-def example_loss(weights: np.ndarray, bias: np.ndarray, x: np.ndarray, y: int,
-                 adv: AdvConfig | None = None) -> float:
-    """The per-example training objective, including the adversarial mixture."""
-    return example_gradients(weights, bias, x, y, adv)[0]
-
-
 def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
                      classes: Sequence[str], config: ClfTrainConfig,
-                     adv: AdvConfig | None = None,
                      table: EmbeddingTable | None = None) -> SoftmaxClassifier:
     """Cross-entropy SGD over sentences; seeded and fully deterministic.
 
@@ -336,7 +311,7 @@ def train_classifier(token_seqs: Sequence[Sequence[str]], labels: Sequence[str],
     ys = [class_ids[l] for l in labels]
     rng = random.Random(derive_seed(config.seed, "shuffle"))
     order = list(range(len(xs)))
-    step = _SgdStep(len(classes), d, adv, config.learning_rate)
+    step = _SgdStep(len(classes), d, config)
     for epoch in range(config.epochs):
         rng.shuffle(order)
         for idx in order:

@@ -74,11 +74,10 @@ def test_c2_gradient_checks():
     with criterion(2, "CRF and classifier gradients match central finite differences"):
         rng = random.Random(202)
         model, texts, _ = random_instance(rng, scale=0.5)
-        model.l2 = 0.05
         gold = [model.labels[rng.randrange(len(model.labels))] for _ in texts]
-        _, grad = nll_and_gradient(model, texts, gold)
+        _, grad = nll_and_gradient(model, texts, gold, l2=0.05)
         coords = rng.sample(range(model.weights.size), min(25, model.weights.size))
-        _fd_check(lambda: nll_and_gradient(model, texts, gold)[0],
+        _fd_check(lambda: nll_and_gradient(model, texts, gold, l2=0.05)[0],
                   model.weights, grad, coords)
 
         np_rng = np.random.default_rng(203)
@@ -86,15 +85,16 @@ def test_c2_gradient_checks():
         bias = np_rng.normal(size=4)
         x = np_rng.normal(size=8)
         y = 3
-        for adv in (None, textclf.AdvConfig(epsilon=0.05, adv_weight=0.4)):
-            _, dW, db = textclf.example_gradients(weights, bias, x, y, adv)
+        for config in (textclf.ClfTrainConfig(),
+                       textclf.ClfTrainConfig(epsilon=0.05, adv_weight=0.4)):
+            _, dW, db = textclf.example_gradients(weights, bias, x, y, config)
             flat_grad = np.concatenate([dW.ravel(), db])
             params = np.concatenate([weights.ravel(), bias])
 
             def loss_of_flat():
                 w = params[:32].reshape(4, 8)
                 b = params[32:]
-                return textclf.example_loss(w, b, x, y, adv)
+                return textclf.example_gradients(w, b, x, y, config)[0]
 
             coords = list(np_rng.choice(params.size, 20, replace=False))
             _fd_check(loss_of_flat, params, flat_grad, coords)

@@ -1,3 +1,4 @@
+import dataclasses
 import difflib
 import json
 import os
@@ -246,6 +247,22 @@ class TestAugmentCommand:
         assert "llm augmentation needs a client (--offline or --llm-endpoint)" in err
         assert not out.exists()
 
+    def test_offline_with_endpoint_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        out = tmp_path / "llm"
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "llm", "--target-class", "CLA",
+                           "--n-samples", "2", "--seed", "1", "--out", str(out),
+                           "--offline", "--llm-endpoint", "http://llm.invalid/complete")
+        assert code == 2
+        assert "--offline and --llm-endpoint exclude each other" in err
+        assert not out.exists()
+
     def test_llm_endpoint_4xx_exits_2_after_one_request(self, fixture_dir, tmp_path, capsys,
                                                         monkeypatch):
         requests = []
@@ -385,6 +402,20 @@ class TestEvalAndCompare:
         assert code == 2
         assert f"error: {bad}: " in err
         return err
+
+    @pytest.mark.parametrize("names,message", [
+        (("x", "x"), "--reports names 'x' twice"),
+        (("", "y"), "expected NAME=PATH, got '="),
+        (("x", ""), "expected NAME=PATH, got '="),
+    ], ids=["repeated", "empty-first", "empty-second"])
+    def test_repeated_or_empty_name_exits_2(self, tmp_path, capsys, names, message):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(GOOD_REPORT), encoding="utf-8")
+        code, out, err = run(capsys, "compare", "--reports",
+                             *(f"{name}={path}" for name in names))
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_well_formed_report_compares(self, tmp_path, capsys):
         path = tmp_path / "good.json"
@@ -623,7 +654,7 @@ class TestExperiments:
         ]) + "\n", encoding="utf-8")
         code, out, err = run(capsys, "train-crf", "--config", str(config))
         assert code == 2
-        assert f"model l2 must be finite and >= 0, got {float(l2)!r}" in err
+        assert f"l2 must be finite and >= 0, got {float(l2)!r}" in err
         assert "epoch 0" not in out
         assert not model_out.exists()
 
@@ -863,6 +894,12 @@ def oracle_check_config(config, command):
     if method == aug.Method.LLM.value and not (config.get("offline") == "true"
                                                or "llm.endpoint" in config):
         raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
+    if config.get("offline") == "true" and "llm.endpoint" in config:
+        raise ConfigurationError("offline = true and llm.endpoint exclude each other: "
+                                 "the offline client sends no request")
+    if "dim" in config and "embeddings" in config:
+        raise ConfigurationError("config keys 'dim' and 'embeddings' exclude each other: "
+                                 "the embeddings file sets the dimension")
 
 
 def check_outcome(check, *args):
@@ -966,6 +1003,42 @@ class TestConfigCheck:
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("command", ["run-experiment", "train-clf"])
+    def test_dim_with_embeddings_rejected(self, tmp_path, fixture_dir, capsys, monkeypatch,
+                                          command):
+        embeddings = tmp_path / "vectors.txt"
+        embeddings.write_text("a 1.0 0.0 0.5 0.5\n", encoding="utf-8")
+        config = tmp_path / "dim.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", "dim = 64", f"embeddings = {embeddings}",
+            *([f"dev = {os.path.join(fixture_dir, 'corpus.tsv')}"]
+              if command == "run-experiment" else []),
+        ]) + "\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert "config keys 'dim' and 'embeddings' exclude each other" in err
+
+    @pytest.mark.parametrize("model", ["crf", "textclf"])
+    def test_offline_with_endpoint_rejected(self, tmp_path, fixture_dir, dev_dir, capsys,
+                                            monkeypatch, model):
+        config = experiment_config(tmp_path, fixture_dir, dev_dir, model, "llm")
+        set_keys(config, "offline = true\nllm.endpoint = http://llm.invalid/complete\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, "run-experiment", "--config", config)
+        assert code == 2
+        assert "offline = true and llm.endpoint exclude each other" in err
 
     @pytest.mark.parametrize("model,line,reader", [
         ("crf", "dim = 8", "textclf"),
@@ -1127,7 +1200,18 @@ class TestConfigCheck:
         epochs = [line for line in out.splitlines() if line.startswith("epoch ")]
         # The history starts with the NLL before the first epoch.
         assert len(epochs) == TrainConfig().epochs + 1 == 6
-        assert json.loads((tmp_path / "crf-model.json").read_text())["l2"] == 0.0
+        # Every default spelt out trains the same model.
+        defaults = [f"{field.name} = {field.default}" for field in dataclasses.fields(TrainConfig)
+                    if field.name != "seed"]
+        assert "l2 = 0.0" in defaults
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", *defaults, f"model_out = {tmp_path / 'spelt-out.json'}",
+        ]) + "\n", encoding="utf-8")
+        assert run(capsys, "train-crf", "--config", str(config))[0] == 0
+        assert ((tmp_path / "spelt-out.json").read_bytes()
+                == (tmp_path / "crf-model.json").read_bytes())
 
     @pytest.mark.parametrize("method_line", ["", "augment.method = none"])
     @pytest.mark.parametrize("key,value", [("augment.target_class", "CLA"),

@@ -240,13 +240,13 @@ class TestGradient:
             assert emission_grad[fid, 1] == pytest.approx(1 / L)
 
     def test_l2_only_component(self):
-        model = CrfModel.build(["A", "B"], [["x"]], l2=0.5)
+        model = CrfModel.build(["A", "B"], [["x"]])
         rng = np.random.default_rng(0)
         model.weights = rng.normal(size=model.weights.shape)
         # "y" shares no features with the training vocabulary beyond shape
         # flags; transition/emission coordinates not touched by the example
         # must come out as exactly l2 * w.
-        _, grad = nll_and_gradient(model, ["x"], ["A"])
+        _, grad = nll_and_gradient(model, ["x"], ["A"], l2=0.5)
         fids = set(present_feature_ids(model, ["x"])[0])
         L = 2
         for fid in range(len(model.feature_index)):
@@ -260,16 +260,15 @@ class TestGradient:
         for _ in range(5):
             model, texts, labels = random_instance(rng, scale=0.5)
             gold = [model.labels[rng.randrange(len(model.labels))] for _ in texts]
-            model.l2 = 0.1
-            _, grad = nll_and_gradient(model, texts, gold)
+            _, grad = nll_and_gradient(model, texts, gold, l2=0.1)
             coords = rng.sample(range(model.weights.size),
                                 min(20, model.weights.size))
             h = 1e-5
             for coord in coords:
                 model.weights[coord] += h
-                up = nll_and_gradient(model, texts, gold)[0]
+                up = nll_and_gradient(model, texts, gold, l2=0.1)[0]
                 model.weights[coord] -= 2 * h
-                down = nll_and_gradient(model, texts, gold)[0]
+                down = nll_and_gradient(model, texts, gold, l2=0.1)[0]
                 model.weights[coord] += h
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(numeric), abs(grad[coord]), 1e-8)
@@ -507,6 +506,22 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(model, data, TrainConfig(epochs=1, seed=0))
 
+    @pytest.mark.parametrize("l2", [-0.001, math.nan, math.inf])
+    def test_config_rejects_bad_l2(self, l2):
+        with pytest.raises(ValidationError, match=re.escape(f"l2 must be finite and >= 0, "
+                                                            f"got {l2!r}")):
+            TrainConfig(l2=l2)
+
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_l2_is_read_from_the_config(self, l2):
+        data = separable_data()
+        model = CrfModel.build(["A", "B"], [t for t, _ in data])
+        config = TrainConfig(epochs=1, learning_rate=0.5, seed=0, l2=l2)
+        history = train(model, data, config)
+        penalty = 0.5 * l2 * float(np.dot(model.weights, model.weights))
+        assert history[-1] == dataset_nll(model, data, l2)
+        assert history[-1] == pytest.approx(dataset_nll(model, data) + penalty, rel=1e-12)
+
 
 def _reference_logsumexp(a, axis=None):
     m = np.max(a, axis=axis, keepdims=True)
@@ -514,7 +529,7 @@ def _reference_logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis) if axis is not None else out.reshape(())
 
 
-def reference_nll_and_gradient(model, texts, gold_labels):
+def reference_nll_and_gradient(model, texts, gold_labels, l2):
     """Dense per-sentence gradient: one F*L vector, filled position by position."""
     fids = present_feature_ids(model, texts)
     emissions = reference_emissions(model, fids)
@@ -534,8 +549,8 @@ def reference_nll_and_gradient(model, texts, gold_labels):
     unary = np.exp(alpha + beta - log_z)
     gold = float(sum(emissions[i, yi] for i, yi in enumerate(y)))
     gold += float(sum(transitions[a, b] for a, b in zip(y, y[1:])))
-    nll = log_z - gold + 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
-    grad = model.l2 * model.weights
+    nll = log_z - gold + 0.5 * l2 * float(np.dot(model.weights, model.weights))
+    grad = l2 * model.weights
     emission_grad = grad[:F * L].reshape(F, L)
     for i, fid_list in enumerate(fids):
         if fid_list:
@@ -565,8 +580,8 @@ def reference_train(model, data, config):
         rng.shuffle(order)
         for idx in order:
             _, rows, emission_grad, transition_grad = _sentence_gradient(
-                model.emission_weights, model.transitions, model.l2, compiled[idx])
-            grad = model.l2 * model.weights
+                model.emission_weights, model.transitions, config.l2, compiled[idx])
+            grad = config.l2 * model.weights
             grad[:F * L].reshape(F, L)[rows] = emission_grad
             grad[F * L:] = transition_grad.ravel()
             lr = config.learning_rate / (1.0 + config.decay * step)
@@ -588,8 +603,8 @@ RTOL, ATOL = 1e-9, 1e-12
 class TestMatchesDenseReference:
     """Sparse training steps give bit-identical weights to the dense loop."""
 
-    def _assert_same_weights(self, labels, data, config, l2=0.0):
-        models = [CrfModel.build(labels, [t for t, _ in data], l2=l2) for _ in range(2)]
+    def _assert_same_weights(self, labels, data, config):
+        models = [CrfModel.build(labels, [t for t, _ in data]) for _ in range(2)]
         train(models[0], data, config)
         reference_train(models[1], data, config)
         assert np.array_equal(models[0].weights, models[1].weights)
@@ -608,17 +623,16 @@ class TestMatchesDenseReference:
     def test_with_l2(self):
         labels, data = fixture_data()
         self._assert_same_weights(labels, data[:20],
-                                  TrainConfig(epochs=1, learning_rate=0.5, seed=3), l2=0.1)
+                                  TrainConfig(epochs=1, learning_rate=0.5, seed=3, l2=0.1))
 
     def test_gradient_with_l2_and_unseen_features(self):
         rng = random.Random(8)
         for _ in range(20):
             model, texts, labels = random_instance(rng, scale=0.5)
-            model.l2 = 0.1
             texts = texts + ["unseen"]
             gold = [labels[rng.randrange(len(labels))] for _ in texts]
-            nll, grad = nll_and_gradient(model, texts, gold)
-            expected_nll, expected_grad = reference_nll_and_gradient(model, texts, gold)
+            nll, grad = nll_and_gradient(model, texts, gold, l2=0.1)
+            expected_nll, expected_grad = reference_nll_and_gradient(model, texts, gold, 0.1)
             np.testing.assert_allclose(grad, expected_grad, rtol=RTOL, atol=ATOL)
             assert nll == pytest.approx(expected_nll, rel=RTOL, abs=ATOL)
 
@@ -690,7 +704,7 @@ class TestScaledRecursion:
 # recursion and SGD step that the scaled recursion replaced, which it must
 # match to RTOL and ATOL.
 
-def oracle_build(labels, token_seqs, l2=0.0):
+def oracle_build(labels, token_seqs):
     """`CrfModel.build` that lists every feature string of every position."""
     index = {}
     for texts in token_seqs:
@@ -700,7 +714,7 @@ def oracle_build(labels, token_seqs, l2=0.0):
                     index[feat] = len(index)
     n = len(index) * len(labels) + len(labels) ** 2
     return CrfModel(labels=tuple(labels), feature_index=index,
-                    weights=np.zeros(n, dtype=np.float64), l2=l2)
+                    weights=np.zeros(n, dtype=np.float64))
 
 
 def _oracle_logsumexp(a):
@@ -728,7 +742,7 @@ def oracle_backward(emissions, transitions):
     return beta
 
 
-def oracle_sentence_gradient(model, ids, y):
+def oracle_sentence_gradient(model, ids, y, l2):
     """`(nll, rows, emission_grad, transition_grad)` of one compiled sentence."""
     weights = model.emission_weights
     transitions = model.transitions
@@ -743,13 +757,13 @@ def oracle_sentence_gradient(model, ids, y):
     unary = np.exp(alpha + beta - log_z)
     unary[np.arange(len(y)), y] -= 1.0
     rows, local = np.unique(ids, return_inverse=True)
-    emission_grad = model.l2 * weights[rows]
+    emission_grad = l2 * weights[rows]
     np.add.at(emission_grad, local.reshape(ids.shape), unary[:, None, :])
     first = 1 if rows[0] < 0 else 0
 
     pairwise = np.exp(alpha[:-1, :, None] + transitions
                       + (emissions[1:] + beta[1:])[:, None, :] - log_z)
-    transition_grad = model.l2 * transitions
+    transition_grad = l2 * transitions
     for i in range(1, len(y)):
         transition_grad += pairwise[i - 1]
         transition_grad[y[i - 1], y[i]] -= 1.0
@@ -767,14 +781,15 @@ BUILD_TOKENS = TOKENS + ["Gut", "guts", "ut", "t", "IBSs", "1980"]
 
 @st.composite
 def step_instances(draw):
-    """A model with 1-9 labels and random weights, and a 1-12 token sentence to score.
+    """A model with 1-9 labels and random weights, a 1-12 token sentence to score, and an l2.
 
     The query draws from tokens the model never saw, so some ids are -1.
     """
     labels = [f"L{i}" for i in range(draw(st.integers(1, 9)))]
     seen = draw(st.lists(st.lists(st.sampled_from(BUILD_TOKENS), min_size=1, max_size=6),
                          min_size=1, max_size=3))
-    model = CrfModel.build(labels, seen, l2=draw(st.sampled_from([0.0, 0.1])))
+    model = CrfModel.build(labels, seen)
+    l2 = draw(st.sampled_from([0.0, 0.1]))
     weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     model.weights = weights_rng.normal(0.0, draw(st.sampled_from([0.5, 3.0])),
                                        size=model.weights.shape)
@@ -782,21 +797,21 @@ def step_instances(draw):
                           min_size=1, max_size=12))
     y = draw(st.lists(st.integers(0, len(labels) - 1), min_size=len(texts),
                       max_size=len(texts)))
-    return model, texts, np.array(y, dtype=np.intp)
+    return model, texts, np.array(y, dtype=np.intp), l2
 
 
 class TestMatchesOracles:
     @settings(max_examples=300, deadline=None)
     @given(step_instances())
     def test_sentence_gradient(self, instance):
-        model, texts, y = instance
+        model, texts, y, l2 = instance
         ids = _feature_ids(model, texts)
         sentence = _compile(model, [(texts, [model.labels[i] for i in y])])[0]
         rows, local, _, _ = sentence
         assert local.dtype == np.int32
         assert np.array_equal(rows[local].T, ids)
-        got = _sentence_gradient(model.emission_weights, model.transitions, model.l2, sentence)
-        expected = oracle_sentence_gradient(model, ids, y)
+        got = _sentence_gradient(model.emission_weights, model.transitions, l2, sentence)
+        expected = oracle_sentence_gradient(model, ids, y, l2)
         assert got[0] == pytest.approx(expected[0], rel=RTOL, abs=ATOL)
         assert np.array_equal(got[1], expected[1])
         for array, oracle in zip(got[2:], expected[2:]):
@@ -827,11 +842,11 @@ class TestMatchesOracles:
            st.integers(1, 5))
     def test_build(self, seqs, n_labels):
         labels = [f"L{i}" for i in range(n_labels)]
-        model = CrfModel.build(labels, seqs, l2=0.1)
-        expected = oracle_build(labels, seqs, l2=0.1)
+        model = CrfModel.build(labels, seqs)
+        expected = oracle_build(labels, seqs)
         assert list(model.feature_index.items()) == list(expected.feature_index.items())
         assert_same_bits(model.weights, expected.weights)
-        assert (model.labels, model.l2) == (expected.labels, expected.l2)
+        assert model.labels == expected.labels
         for texts in seqs:
             ids = [[expected.feature_index[f] for f in feats] for feats in extract_features(texts)]
             assert _feature_ids(model, texts).tolist() == ids
@@ -896,21 +911,21 @@ def mixed_length_datasets(draw):
              [draw(st.sampled_from(labels)) for _ in range(n)]) for n in sequences]
     # Building on a prefix leaves later sequences with features the model lacks.
     seen = draw(st.integers(1, len(data)))
-    model = CrfModel.build(labels, [texts for texts, _ in data[:seen]],
-                           l2=draw(st.sampled_from([0.0, 0.1])))
+    model = CrfModel.build(labels, [texts for texts, _ in data[:seen]])
+    l2 = draw(st.sampled_from([0.0, 0.1]))
     weights_rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
     model.weights = weights_rng.normal(0.0, 1.0, size=model.weights.shape)
-    return model, data
+    return model, data, l2
 
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_length_datasets())
 def test_batched_dataset_nll_matches_per_sequence_sum(instance):
-    model, data = instance
+    model, data, l2 = instance
     expected = sum(log_partition(model, texts) - sequence_score(model, texts, labels)
                    for texts, labels in data)
-    expected += 0.5 * model.l2 * float(np.dot(model.weights, model.weights))
-    assert dataset_nll(model, data) == pytest.approx(expected, rel=1e-12, abs=0)
+    expected += 0.5 * l2 * float(np.dot(model.weights, model.weights))
+    assert dataset_nll(model, data, l2) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # More sentences of one length than one `_length_chunks` chunk holds.
@@ -1049,10 +1064,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("labels", []), ("labels", ["A", "A"]), ("labels", ["A", 1]), ("labels", "AB"),
-        ("l2", -0.1), ("l2", math.nan), ("l2", math.inf), ("l2", "0.1"), ("l2", True),
         ("feature_index", [["w=x", 0]]), ("weights", "many"), ("weights", [[0.0], [0.0, 1.0]]),
     ], ids=["no-labels", "duplicate-labels", "non-string-label", "labels-not-a-list",
-            "negative-l2", "nan-l2", "inf-l2", "string-l2", "bool-l2",
             "index-not-an-object", "weights-not-numbers", "ragged-weights"])
     def test_malformed_field_rejected(self, field, value):
         data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
@@ -1086,7 +1099,7 @@ class TestSerialization:
         model = CrfModel.from_dict(data)
         assert model.weights.dtype == np.float64 and (model.weights == 1.0).all()
 
-    @pytest.mark.parametrize("field", ["labels", "l2", "feature_index", "weights"])
+    @pytest.mark.parametrize("field", ["labels", "feature_index", "weights"])
     def test_missing_field_rejected(self, field):
         data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
         del data[field]
@@ -1094,14 +1107,20 @@ class TestSerialization:
             CrfModel.from_dict(data)
 
     def test_integer_l2_loads(self):
-        data = CrfModel.build(["A", "B"], [["x"]], l2=0.5).to_dict()
-        data["l2"] = 1
-        assert CrfModel.from_dict(data).l2 == 1.0
+        # Files written before l2 left the model carry it; no decoder reads it.
+        model = CrfModel.build(["A", "B"], [["x", "y"]])
+        model.weights = np.arange(model.weights.size, dtype=np.float64)
+        data = model.to_dict()
+        assert "l2" not in data
+        loaded = CrfModel.from_dict({**data, "l2": 1})
+        assert loaded.to_dict() == data
+        assert loaded.predict(["y", "x"]) == model.predict(["y", "x"])
 
-    @pytest.mark.parametrize("l2", [-0.001, math.nan, math.inf])
-    def test_build_rejects_what_load_rejects(self, l2):
-        with pytest.raises(ValidationError, match="l2 must be finite and >= 0"):
-            CrfModel.build(["A", "B"], [["x"]], l2=l2)
+    @pytest.mark.parametrize("l2", [-0.1, math.nan, math.inf, "0.1", True],
+                             ids=["negative", "nan", "inf", "string", "bool"])
+    def test_stale_l2_of_any_value_loads(self, l2):
+        data = CrfModel.build(["A", "B"], [["x"]]).to_dict()
+        assert CrfModel.from_dict({**data, "l2": l2}).to_dict() == data
 
 
 class TestEmptyToken:

@@ -9,6 +9,7 @@ the digests with `PYTHONPATH=src python tests/test_pinned_bytes.py`.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -72,9 +73,13 @@ PINNED = {
     "run-experiment/textclf-adv/report.json":
         "7b40913736823ed148e71dd9e6a338015324842f816084e6cb79956c5901b7af",
     "train-crf/l2=0/model.json":
-        "794ee2926b348fba719a66a451b386f1cea66dac05da0cb7d3ad63713ec82310",
+        "ea8caf3499e7b09a6a38e695bd4465077416d8cbdd1147e66cbb0e16a3a32f15",
+    "train-crf/l2=0/content":
+        "4a78773fb2bda74e128fb116aa683fb28896dc78c8910f21d60c0c6b38e75590",
     "train-crf/l2=0.1/model.json":
-        "5f1582b13de1fc3fa5a6fb3761a3ec3c46d9ab24b34fd7f64e84288195f3030c",
+        "f3b5ffb3d101979cc4817b5917c86c2843eaff50c53bffcdbff5c086256d2303",
+    "train-crf/l2=0.1/content":
+        "8001f2c0316f21d98360db06805bfb470a6e4702751e048e88adf253265a00f2",
     "train-clf/textclf-adv/model.json":
         "8ed4959ab9a22edf0e2780421b9b3edd897ca5a1010e95f12b8413eac9766e0e",
     "train-crf/l2=0/predict":
@@ -167,6 +172,12 @@ def produce_digests(work: str) -> dict[str, str]:
                                *settings, f"model_out = {model_out}"])
         _run(command, "--config", config)
         digests[f"{name}/model.json"] = _sha256(model_out)
+        if command == "train-crf":
+            # What a CRF decodes with, apart from the file's other keys.
+            with open(model_out, encoding="utf-8") as f:
+                saved = json.load(f)
+            content = json.dumps([saved["labels"], saved["feature_index"], saved["weights"]])
+            digests[f"{name}/content"] = hashlib.sha256(content.encode("utf-8")).hexdigest()
 
     # The labels the l2 = 0 model decodes on the dev fixture, one line per sentence.
     model = CrfModel.load(os.path.join(work, "train-crf-l2=0.json"))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -8,14 +9,12 @@ from hypothesis import strategies as st
 
 from claimaug.errors import ParseError, TrainingDiverged, ValidationError
 from claimaug.textclf import (
-    AdvConfig,
     ClfTrainConfig,
     EmbeddingTable,
     SoftmaxClassifier,
+    _SgdStep,
     embed_sentence,
     example_gradients,
-    example_loss,
-    fgsm_perturb,
     softmax,
     train_classifier,
 )
@@ -80,51 +79,71 @@ class TestEmbedding:
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+def adversarial_point(weights, bias, x, y, epsilon):
+    """The perturbed input at which a training step takes the adversarial loss."""
+    step = _SgdStep(*weights.shape, ClfTrainConfig(epsilon=epsilon, adv_weight=0.5))
+    step.gradients(weights, bias, x, y)
+    return step.x1.copy()
+
+
+def input_gradient(weights, bias, x, y):
+    """The clean loss's gradient with respect to the input."""
+    dlogits = softmax(weights @ x + bias)
+    dlogits[y] -= 1.0
+    return weights.T @ dlogits
+
+
 class TestFgsm:
     def test_epsilon_zero_identity(self):
-        x = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(fgsm_perturb(x, np.array([3.0, -4.0]), 0.0), x)
+        # With no perturbation the step is the clean one, whatever adv_weight says.
+        rng = np.random.default_rng(0)
+        weights, bias, x = rng.normal(size=(3, 4)), rng.normal(size=3), rng.normal(size=4)
+        clean = example_gradients(weights, bias, x, 1, ClfTrainConfig())
+        off = example_gradients(weights, bias, x, 1, ClfTrainConfig(epsilon=0.0, adv_weight=0.5))
+        for got, expected in zip(off, clean):
+            assert np.array_equal(got, expected)
 
     def test_all_positive_gradient_adds_epsilon(self):
-        x = np.zeros(3)
-        out = fgsm_perturb(x, np.array([0.5, 2.0, 1e-9]), 0.1)
+        # For y = 0 the input gradient is p[1] * (weights[1] - weights[0]) > 0.
+        weights = np.array([[0.0, 0.0, 0.0], [0.5, 2.0, 1e-9]])
+        out = adversarial_point(weights, np.zeros(2), np.zeros(3), 0, 0.1)
         np.testing.assert_allclose(out, [0.1, 0.1, 0.1])
 
     def test_linf_magnitude_bounded_and_tight(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            x = rng.normal(size=6)
-            grad = rng.normal(size=6)
-            out = fgsm_perturb(x, grad, 0.25)
+            weights, bias, x = rng.normal(size=(3, 6)), rng.normal(size=3), rng.normal(size=6)
+            out = adversarial_point(weights, bias, x, 2, 0.25)
             assert np.max(np.abs(out - x)) <= 0.25 + 1e-15
-            if np.all(grad != 0):
+            if np.all(input_gradient(weights, bias, x, 2) != 0):
                 np.testing.assert_allclose(np.abs(out - x), 0.25)
 
     def test_zero_gradient_coordinate_unchanged(self):
-        x = np.array([1.0, 2.0])
-        out = fgsm_perturb(x, np.array([0.0, 1.0]), 0.5)
+        # A zero weight column gives that coordinate a zero input gradient.
+        weights = np.array([[0.0, 1.0], [0.0, -1.0]])
+        out = adversarial_point(weights, np.zeros(2), np.array([1.0, 2.0]), 0, 0.5)
         assert out[0] == 1.0
+        assert out[1] != 2.0
 
     def test_loss_does_not_drop_at_perturbed_point(self):
-        # Local-linearity check on a fixture with nonzero gradient.
+        # Local-linearity check on a fixture with nonzero gradient. With
+        # adv_weight 1 the loss is the loss at the perturbed point alone.
         rng = np.random.default_rng(1)
+        adversarial = ClfTrainConfig(epsilon=1e-3, adv_weight=1.0)
         for _ in range(25):
             weights = rng.normal(size=(3, 5))
             bias = rng.normal(size=3)
             x = rng.normal(size=5)
             y = 1
-            _, _, db = example_gradients(weights, bias, x, y)
-            dx = weights.T @ db
-            if np.all(dx == 0):
+            if np.all(input_gradient(weights, bias, x, y) == 0):
                 continue
-            x_adv = fgsm_perturb(x, dx, 1e-3)
-            before = example_loss(weights, bias, x, y)
-            after = example_loss(weights, bias, x_adv, y)
+            before = example_gradients(weights, bias, x, y, ClfTrainConfig())[0]
+            after = example_gradients(weights, bias, x, y, adversarial)[0]
             assert after >= before - 1e-6
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValidationError):
-            fgsm_perturb(np.zeros(2), np.ones(2), -0.1)
+        with pytest.raises(ValidationError, match="epsilon must be >= 0"):
+            ClfTrainConfig(epsilon=-0.1)
 
 
 class TestSoftmax:
@@ -163,8 +182,8 @@ class TestTraining:
         seqs, labels = toy_data()
         config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
         clean = train_classifier(seqs, labels, ("A", "B"), config)
-        mixed = train_classifier(seqs, labels, ("A", "B"), config,
-                                 adv=AdvConfig(epsilon=0.1, adv_weight=0.0))
+        mixed = train_classifier(seqs, labels, ("A", "B"),
+                                 dataclasses.replace(config, epsilon=0.1, adv_weight=0.0))
         assert np.array_equal(clean.weights, mixed.weights)
         assert np.array_equal(clean.bias, mixed.bias)
 
@@ -172,16 +191,16 @@ class TestTraining:
         seqs, labels = toy_data()
         config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
         clean = train_classifier(seqs, labels, ("A", "B"), config)
-        adv = train_classifier(seqs, labels, ("A", "B"), config,
-                               adv=AdvConfig(epsilon=0.0, adv_weight=0.5))
+        adv = train_classifier(seqs, labels, ("A", "B"),
+                               dataclasses.replace(config, epsilon=0.0, adv_weight=0.5))
         assert np.array_equal(clean.weights, adv.weights)
 
     def test_adversarial_training_changes_weights(self):
         seqs, labels = toy_data()
         config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
         clean = train_classifier(seqs, labels, ("A", "B"), config)
-        adv = train_classifier(seqs, labels, ("A", "B"), config,
-                               adv=AdvConfig(epsilon=0.5, adv_weight=0.5))
+        adv = train_classifier(seqs, labels, ("A", "B"),
+                               dataclasses.replace(config, epsilon=0.5, adv_weight=0.5))
         assert not np.array_equal(clean.weights, adv.weights)
 
     def test_same_seed_identical_models(self):
@@ -207,13 +226,13 @@ class TestTraining:
 
 
 class TestGradients:
-    def check_against_fd(self, adv):
+    def check_against_fd(self, config):
         rng = np.random.default_rng(4)
         weights = rng.normal(size=(3, 6))
         bias = rng.normal(size=3)
         x = rng.normal(size=6)
         y = 2
-        _, dW, db = example_gradients(weights, bias, x, y, adv)
+        _, dW, db = example_gradients(weights, bias, x, y, config)
         h = 1e-5
         flat_params = [("W", i, j) for i in range(3) for j in range(6)] \
             + [("b", i, None) for i in range(3)]
@@ -223,9 +242,9 @@ class TestGradients:
             target = weights if kind == "W" else bias
             index = (i, j) if kind == "W" else i
             target[index] += h
-            up = example_loss(weights, bias, x, y, adv)
+            up = example_gradients(weights, bias, x, y, config)[0]
             target[index] -= 2 * h
-            down = example_loss(weights, bias, x, y, adv)
+            down = example_gradients(weights, bias, x, y, config)[0]
             target[index] += h
             numeric = (up - down) / (2 * h)
             analytic = dW[i, j] if kind == "W" else db[i]
@@ -233,10 +252,10 @@ class TestGradients:
             assert abs(analytic - numeric) / denom < 1e-4, (kind, i, j)
 
     def test_clean_gradient_matches_fd(self):
-        self.check_against_fd(None)
+        self.check_against_fd(ClfTrainConfig())
 
     def test_adversarial_gradient_matches_fd(self):
-        self.check_against_fd(AdvConfig(epsilon=0.05, adv_weight=0.4))
+        self.check_against_fd(ClfTrainConfig(epsilon=0.05, adv_weight=0.4))
 
 
 class TestSerialization:
@@ -332,20 +351,20 @@ def reference_loss_and_grads(weights, bias, x, y):
     return loss, np.outer(dlogits, x), dlogits, weights.T @ dlogits
 
 
-def reference_example_gradients(weights, bias, x, y, adv=None):
+def reference_example_gradients(weights, bias, x, y, config):
     """The original `example_gradients`, kept as the bit-identity oracle."""
     clean, dW, db, dx = reference_loss_and_grads(weights, bias, x, y)
-    if adv is None or not adv.active:
+    if not (config.epsilon > 0 and config.adv_weight > 0):
         return clean, dW, db, dx
-    x_adv = fgsm_perturb(x, dx, adv.epsilon)
+    x_adv = x + config.epsilon * np.sign(dx)
     adv_loss, dW_a, db_a, dx_a = reference_loss_and_grads(weights, bias, x_adv, y)
-    w = adv.adv_weight
+    w = config.adv_weight
     loss = (1.0 - w) * clean + w * adv_loss
     return (loss, (1.0 - w) * dW + w * dW_a, (1.0 - w) * db + w * db_a,
             (1.0 - w) * dx + w * dx_a)
 
 
-def reference_train(seqs, labels, classes, config, adv):
+def reference_train(seqs, labels, classes, config):
     """`train_classifier` as a dense loop over the reference step."""
     table = EmbeddingTable.random([t for seq in seqs for t in seq], config.dim,
                                   seed=derive_seed(config.seed, "embeddings"))
@@ -358,16 +377,17 @@ def reference_train(seqs, labels, classes, config, adv):
     for _ in range(config.epochs):
         rng.shuffle(order)
         for idx in order:
-            _, dW, db, _ = reference_example_gradients(weights, bias, xs[idx], ys[idx], adv)
+            _, dW, db, _ = reference_example_gradients(weights, bias, xs[idx], ys[idx], config)
             weights = weights - config.learning_rate * dW
             bias = bias - config.learning_rate * db
     return weights, bias
 
 
+# Keyword arguments of `ClfTrainConfig`: none, or an epsilon and an adv_weight.
 ADV_SETTINGS = st.one_of(
-    st.none(),
-    st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.floats(0.0, 1.0)),
-    st.builds(AdvConfig, epsilon=st.just(0.0), adv_weight=st.floats(0.0, 1.0)),
+    st.just({}),
+    st.fixed_dictionaries({"epsilon": st.floats(0.0, 1.0), "adv_weight": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"epsilon": st.just(0.0), "adv_weight": st.floats(0.0, 1.0)}),
 )
 
 
@@ -384,19 +404,20 @@ class TestBitIdentity:
         bias = rng.normal(scale=scale, size=C)
         x = rng.normal(size=d)
         y = data.draw(st.integers(0, C - 1))
-        loss, dW, db = example_gradients(weights, bias, x, y, adv)
-        ref_loss, ref_dW, ref_db, _ = reference_example_gradients(weights, bias, x, y, adv)
+        config = ClfTrainConfig(**adv)
+        loss, dW, db = example_gradients(weights, bias, x, y, config)
+        ref_loss, ref_dW, ref_db, _ = reference_example_gradients(weights, bias, x, y, config)
         assert np.array_equal(loss, ref_loss)
         assert np.array_equal(dW, ref_dW)
         assert np.array_equal(db, ref_db)
 
-    @pytest.mark.parametrize("adv", [AdvConfig(epsilon=0.05, adv_weight=0.4),
-                                     AdvConfig(epsilon=0.01, adv_weight=1.0)])
+    @pytest.mark.parametrize("adv", [{"epsilon": 0.05, "adv_weight": 0.4},
+                                     {"epsilon": 0.01, "adv_weight": 1.0}])
     def test_training_equals_reference_loop(self, adv):
         seqs, labels = toy_data()
-        config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1)
-        model = train_classifier(seqs, labels, ("A", "B"), config, adv=adv)
-        weights, bias = reference_train(seqs, labels, ("A", "B"), config, adv)
+        config = ClfTrainConfig(epochs=5, learning_rate=0.3, dim=8, seed=1, **adv)
+        model = train_classifier(seqs, labels, ("A", "B"), config)
+        weights, bias = reference_train(seqs, labels, ("A", "B"), config)
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.bias, bias)
 
@@ -404,12 +425,15 @@ class TestBitIdentity:
     @given(C=st.integers(2, 6), d=st.integers(1, 40), epochs=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
            learning_rate=st.sampled_from([0.05, 0.5, 3.0]), adv=st.one_of(
-               st.none(),
-               st.builds(AdvConfig, epsilon=st.just(0.0), adv_weight=st.floats(0.0, 1.0)),
-               st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.just(0.0)),
-               st.builds(AdvConfig, epsilon=st.floats(0.0, 1.0), adv_weight=st.just(1.0)),
-               st.builds(AdvConfig, epsilon=st.floats(1e-6, 1.0),
-                         adv_weight=st.floats(1e-6, 1.0))))
+               st.just({}),
+               st.fixed_dictionaries({"epsilon": st.just(0.0),
+                                      "adv_weight": st.floats(0.0, 1.0)}),
+               st.fixed_dictionaries({"epsilon": st.floats(0.0, 1.0),
+                                      "adv_weight": st.just(0.0)}),
+               st.fixed_dictionaries({"epsilon": st.floats(0.0, 1.0),
+                                      "adv_weight": st.just(1.0)}),
+               st.fixed_dictionaries({"epsilon": st.floats(1e-6, 1.0),
+                                      "adv_weight": st.floats(1e-6, 1.0)})))
     def test_training_equals_reference_over_draws(self, C, d, epochs, seed, n,
                                                   learning_rate, adv):
         rng = random.Random(seed)
@@ -417,8 +441,9 @@ class TestBitIdentity:
         seqs = [[rng.choice("abcdefghij") for _ in range(rng.randint(0, 6))]
                 for _ in range(n)]
         labels = [classes[0], classes[1]] + [rng.choice(classes) for _ in range(n - 2)]
-        config = ClfTrainConfig(epochs=epochs, learning_rate=learning_rate, dim=d, seed=seed)
-        model = train_classifier(seqs, labels, classes, config, adv=adv)
-        weights, bias = reference_train(seqs, labels, classes, config, adv)
+        config = ClfTrainConfig(epochs=epochs, learning_rate=learning_rate, dim=d, seed=seed,
+                                **adv)
+        model = train_classifier(seqs, labels, classes, config)
+        weights, bias = reference_train(seqs, labels, classes, config)
         assert np.array_equal(model.weights, weights)
         assert np.array_equal(model.bias, bias)
