@@ -221,6 +221,11 @@ def cmd_augment(args) -> int:
     if args.offline and args.llm_endpoint:
         raise ConfigurationError("--offline and --llm-endpoint exclude each other: "
                                  "the offline client sends no request")
+    for flag, value, reader in (("--entities", args.entities, aug.Method.ER.value),
+                                ("--llm-endpoint", args.llm_endpoint, aug.Method.LLM.value)):
+        if value is not None and args.method != reader:
+            raise ConfigurationError(f"{flag} is read only by --method {reader}, "
+                                     f"not by --method {args.method}")
     _, sentences = _load_sentences(args.data, args.schema)
     config = aug.AugmentConfig(
         target_class=args.target_class,
@@ -340,13 +345,16 @@ def _check_config(config: dict[str, str], command: str, model: str) -> None:
     if method == aug.Method.LLM.value and not (config.get("offline") == "true"
                                                or "llm.endpoint" in config):
         raise ConfigurationError("augment.method = llm needs offline = true or llm.endpoint")
-    # In each pair below one key overrides the other, which would go unread.
+    # Each pair below is refused where one of its keys would go unread.
     if config.get("offline") == "true" and "llm.endpoint" in config:
         raise ConfigurationError("offline = true and llm.endpoint exclude each other: "
                                  "the offline client sends no request")
     if "dim" in config and "embeddings" in config:
         raise ConfigurationError("config keys 'dim' and 'embeddings' exclude each other: "
                                  "the embeddings file sets the dimension")
+    if ("epsilon" in config) != ("adv_weight" in config):
+        raise ConfigurationError("config keys 'epsilon' and 'adv_weight' go together: "
+                                 "adversarial training runs only when both are above 0")
 
 
 def _value(key: str, text: str, kind: type):
@@ -354,7 +362,7 @@ def _value(key: str, text: str, kind: type):
         value = kind(text)
     except ValueError:
         value = None
-    # NaN passes every `x < 0` check in the config dataclasses, so it is refused here.
+    # The config dataclasses refuse NaN too, but this message names the config key.
     if value is None or (kind is float and not math.isfinite(value)):
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigurationError(f"{key} must be {noun}, got {text!r}")

@@ -215,14 +215,16 @@ class TrainConfig:
     l2: float = 0.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.learning_rate <= 0 or self.decay < 0:
             raise ValidationError("hyperparameters must be positive (decay >= 0)")
         if not 0.0 <= self.l2 < math.inf:
             raise ValidationError(f"l2 must be finite and >= 0, got {self.l2!r}")
 
 
-def _forward_backward(emissions: np.ndarray, transitions: np.ndarray,
-                      marginals: bool = False):
+def _forward_backward(emissions: np.ndarray, transitions: np.ndarray):
     """The scaled forward-backward recursion (Rabiner 1989) over one sentence's emissions.
 
     `emissions` is [n, L], or [B, n, L] for B sentences of equal length. The
@@ -234,10 +236,10 @@ def _forward_backward(emissions: np.ndarray, transitions: np.ndarray,
     underflowed) or not finite raises TrainingDiverged; there is no fallback
     to log space.
 
-    Returns log Z, one per sentence. With `marginals` (one sentence only) it
-    returns `(log_z, unary, expected_moves)`: the [n, L] label marginals and
-    the [L, L] pairwise marginals summed over positions. The backward pass
-    keeps `ahead[i] = p[i] * beta[i] / c_i`, from which both come.
+    A batch gets log Z, one per sentence. One sentence gets `(log_z, unary,
+    expected_moves)`: the [n, L] label marginals and the [L, L] pairwise
+    marginals summed over positions. The backward pass keeps
+    `ahead[i] = p[i] * beta[i] / c_i`, from which both come.
     """
     dot, multiply, divide = np.dot, np.multiply, np.divide
     total_of, smallest = np.add.reduce, np.minimum.reduce
@@ -262,7 +264,7 @@ def _forward_backward(emissions: np.ndarray, transitions: np.ndarray,
         previous = out
     n = len(alpha)
     log_z = (total_of(np.log(scales), 0) + total_of(shift, -2))[..., 0] + (n - 1) * top
-    if not marginals:
+    if batch:
         return log_z
     ahead = divide(p, scales, p)
     beta = np.empty_like(p)
@@ -455,24 +457,6 @@ def _emissions(emission_weights: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, 0).swapaxes(0, -2)
 
 
-def log_partition(model: CrfModel, texts: Sequence[str]) -> float:
-    """log Z by the scaled forward recursion."""
-    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
-    return float(_forward_backward(emissions, model.transitions))
-
-
-def sequence_score(model: CrfModel, texts: Sequence[str], labels: Sequence[str]) -> float:
-    rows, local, gold, pairs = _compile(model, [(texts, labels)])[0]
-    emissions = _emissions(model.emission_weights, rows[local].T)
-    return _gold_score(emissions, model.transitions, gold, pairs)
-
-
-def posterior_marginals(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
-    """Per-position label marginals; each row sums to 1."""
-    emissions = _emissions(model.emission_weights, _feature_ids(model, texts))
-    return _forward_backward(emissions, model.transitions, marginals=True)[1]
-
-
 def _sentence_gradient(emission_weights: np.ndarray, transitions: np.ndarray, l2: float,
                        sentence: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
                        ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -490,7 +474,7 @@ def _sentence_gradient(emission_weights: np.ndarray, transitions: np.ndarray, l2
     if first:
         table[0] = 0.0
     emissions = np.add.reduce(table[local], 0)
-    log_z, unary, transition_grad = _forward_backward(emissions, transitions, marginals=True)
+    log_z, unary, transition_grad = _forward_backward(emissions, transitions)
     nll = float(log_z) - _gold_score(emissions, transitions, gold, pairs)
     np.subtract.at(unary.reshape(-1), gold, 1.0)
     np.add.at(emission_grad, local, unary)

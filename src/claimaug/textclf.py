@@ -103,10 +103,12 @@ class ClfTrainConfig:
     adv_weight: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.learning_rate):
+            raise ValidationError(f"learning_rate must be finite, got {self.learning_rate!r}")
         if self.epochs < 1 or self.learning_rate <= 0 or self.dim < 1:
             raise ValidationError("hyperparameters must be positive")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValidationError(f"epsilon must be >= 0 and finite, got {self.epsilon!r}")
         if not 0.0 <= self.adv_weight <= 1.0:
             raise ValidationError("adv_weight must be in [0, 1]")
 

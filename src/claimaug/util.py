@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(*parts: object) -> int:
@@ -107,6 +109,9 @@ def number_array(value: object, name: str, ndim: int) -> np.ndarray:
     if kinds:
         raise ValidationError(f"model {name} must hold only numbers, found "
                               f"{', '.join(sorted(kind.__name__ for kind in kinds))}")
+    # Imported on first use, so a process that reads no model can run without numpy.
+    import numpy as np
+
     try:
         return np.array(value, dtype=np.float64)
     except ValueError as exc:

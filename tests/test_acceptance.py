@@ -26,12 +26,13 @@ from claimaug.augment import (
 )
 from claimaug.cli import main as cli_main
 from claimaug.corpus import LabelSchema, dataset_stats, parse_token_label_file
-from claimaug.crf import log_partition, nll_and_gradient
+from claimaug.crf import nll_and_gradient
 from claimaug.metrics import ClassMetrics, MetricsReport, compare, score
 from claimaug.senttok import purity_stats, split_sentences
 from conftest import MockLlmClient, ScriptedRng, make_sentence
 
-from test_crf import brute_log_partition, brute_viterbi, random_instance
+from test_crf import (all_sequence_scores, brute_gradient, brute_log_partition, brute_viterbi,
+                      random_instance)
 
 
 @contextmanager
@@ -45,14 +46,20 @@ def criterion(number: int, description: str):
 
 
 def test_c1_crf_exactness():
-    with criterion(1, "CRF log-partition and Viterbi match enumeration on 200 instances"):
+    with criterion(1, "CRF NLL, gradient and Viterbi match enumeration on 200 instances"):
         rng = random.Random(101)
         started = time.perf_counter()
         for _ in range(200):
             model, texts, _ = random_instance(rng, n_max=5, l_max=4)
-            expected = brute_log_partition(model, texts)
-            got = log_partition(model, texts)
+            # The all-first-label labelling is enumeration row 0; its NLL is log Z minus its score.
+            gold = [model.labels[0]] * len(texts)
+            got, grad = nll_and_gradient(model, texts, gold)
+            _, scores = all_sequence_scores(model, texts)
+            expected = brute_log_partition(model, texts) - scores[0]
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+            expected_grad = brute_gradient(model, texts, gold)
+            largest = np.abs(expected_grad).max()
+            assert np.abs(grad - expected_grad).max() <= 1e-9 * max(1.0, largest)
             assert model.predict(texts) == brute_viterbi(model, texts)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.2f}s"

@@ -263,6 +263,28 @@ class TestAugmentCommand:
         assert "--offline and --llm-endpoint exclude each other" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,reader,method", [
+        ("--llm-endpoint", "http://llm.invalid/complete", "llm", "aeda"),
+        ("--llm-endpoint", "http://llm.invalid/complete", "llm", "er"),
+        ("--entities", "bad.tsv", "er", "aeda"),
+        ("--entities", "bad.tsv", "er", "llm"),
+    ])
+    def test_flag_the_method_does_not_read_exits_2(self, fixture_dir, tmp_path, capsys,
+                                                   monkeypatch, flag, value, reader, method):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        out = tmp_path / method
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", method, "--target-class", "CLA",
+                           "--n-samples", "2", "--seed", "1", "--out", str(out), flag, value)
+        assert code == 2
+        assert f"{flag} is read only by --method {reader}, not by --method {method}" in err
+        assert not out.exists()
+
     def test_llm_endpoint_4xx_exits_2_after_one_request(self, fixture_dir, tmp_path, capsys,
                                                         monkeypatch):
         requests = []
@@ -765,7 +787,9 @@ class TestExperiments:
     def test_unparsable_number_exits_2(self, tmp_path, fixture_dir, dev_dir, capsys,
                                        model, method, key, value):
         config = experiment_config(tmp_path, fixture_dir, dev_dir, model, method)
-        set_keys(config, f"{key} = {value}\n")
+        # An adversarial key comes with its partner, here set to a valid value.
+        partner = {"epsilon": "adv_weight = 0.5\n", "adv_weight": "epsilon = 0.01\n"}
+        set_keys(config, f"{key} = {value}\n" + partner.get(key, ""))
         code, _, err = run(capsys, "run-experiment", "--config", config)
         assert code == 2
         assert f"{key} must be" in err and repr(value) in err
@@ -900,6 +924,9 @@ def oracle_check_config(config, command):
     if "dim" in config and "embeddings" in config:
         raise ConfigurationError("config keys 'dim' and 'embeddings' exclude each other: "
                                  "the embeddings file sets the dimension")
+    if ("epsilon" in config) != ("adv_weight" in config):
+        raise ConfigurationError("config keys 'epsilon' and 'adv_weight' go together: "
+                                 "adversarial training runs only when both are above 0")
 
 
 def check_outcome(check, *args):
@@ -1025,6 +1052,27 @@ class TestConfigCheck:
         code, _, err = run(capsys, command, "--config", str(config))
         assert code == 2
         assert "config keys 'dim' and 'embeddings' exclude each other" in err
+
+    @pytest.mark.parametrize("command", ["run-experiment", "train-clf"])
+    @pytest.mark.parametrize("line", ["epsilon = 0.01", "adv_weight = 0.5"])
+    def test_adversarial_key_alone_rejected(self, tmp_path, fixture_dir, capsys, monkeypatch,
+                                            command, line):
+        config = tmp_path / "adv.cfg"
+        config.write_text("\n".join([
+            f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+            f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+            "seed = 1", line,
+            *([f"dev = {os.path.join(fixture_dir, 'corpus.tsv')}"]
+              if command == "run-experiment" else []),
+        ]) + "\n", encoding="utf-8")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert "config keys 'epsilon' and 'adv_weight' go together" in err
 
     @pytest.mark.parametrize("model", ["crf", "textclf"])
     def test_offline_with_endpoint_rejected(self, tmp_path, fixture_dir, dev_dir, capsys,

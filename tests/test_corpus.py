@@ -17,6 +17,7 @@ from claimaug.corpus import (
     serialize_token_label_file,
 )
 from claimaug.errors import ParseError, SchemaError, ValidationError
+from conftest import last_line_in_fresh_interpreter
 
 
 def make_doc(texts, labels, doc_id="d0"):
@@ -340,3 +341,15 @@ class TestDatasetStats:
     def test_mismatched_labels_rejected(self, schema):
         with pytest.raises(ValidationError):
             make_doc(["a", "b"], ["O"])
+
+
+NUMPY_PROBE = """
+import sys
+from claimaug import augment, corpus, llmclient, metrics, morph, senttok, synth, util
+print("numpy" in sys.modules)
+"""
+
+
+def test_modules_without_a_model_load_without_numpy():
+    # Only the CRF, the classifier and reading a model file need numpy.
+    assert last_line_in_fresh_interpreter(NUMPY_PROBE) == "False"

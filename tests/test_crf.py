@@ -17,10 +17,7 @@ from claimaug.crf import (
     dataset_nll,
     decode,
     extract_features,
-    log_partition,
     nll_and_gradient,
-    posterior_marginals,
-    sequence_score,
     train,
     viterbi,
     _compile,
@@ -103,6 +100,33 @@ def brute_marginals(model, texts):
     return out
 
 
+def brute_gradient(model, texts, gold_labels):
+    """The NLL gradient at l2 = 0 by enumeration: expected minus observed feature counts."""
+    seqs, scores = all_sequence_scores(model, texts)
+    probs = np.exp(scores - brute_log_partition(model, texts))
+    y = [model.labels.index(label) for label in gold_labels]
+    F, L = len(model.feature_index), model.n_labels
+    grad = np.zeros_like(model.weights)
+    unary = brute_marginals(model, texts)
+    unary[np.arange(len(y)), y] -= 1.0
+    emission_grad = grad[:F * L].reshape(F, L)
+    for ids, row in zip(oracle_feature_ids(model, texts), unary):
+        np.add.at(emission_grad, ids[ids >= 0], row)
+    transition_grad = grad[F * L:].reshape(L, L)
+    for i in range(1, len(texts)):
+        np.add.at(transition_grad, (seqs[:, i - 1], seqs[:, i]), probs)
+        transition_grad[y[i - 1], y[i]] -= 1.0
+    return grad
+
+
+def first_label_nll(model, texts):
+    """NLL of labelling every token with the first label: `all_sequence_scores` row 0.
+
+    It is log Z minus that row's score, so it checks log Z against enumeration.
+    """
+    return nll_and_gradient(model, texts, [model.labels[0]] * len(texts))[0]
+
+
 def random_instance(rng, n_max=5, l_max=4, scale=1.0):
     vocabulary = ["80", "%", "IBS", "gut", "the", "Helped", "slept", "a", "B12"]
     n = rng.randint(1, n_max)
@@ -176,50 +200,63 @@ class TestFeatures:
 
 
 class TestLogPartition:
+    """log Z, read off the NLL of the all-first-label labelling."""
+
     def test_zero_weights_closed_form(self):
+        # Every labelling scores 0, so its NLL is log Z.
         model = CrfModel.build(["A", "B", "C"], [["x", "y", "z"]])
-        assert log_partition(model, ["x", "y", "z"]) == pytest.approx(3 * math.log(3))
+        assert first_label_nll(model, ["x", "y", "z"]) == pytest.approx(3 * math.log(3))
 
     def test_single_label(self):
-        model, texts, _ = None, None, None
         rng = random.Random(0)
         for _ in range(10):
             model, texts, _ = random_instance(rng, l_max=1)
             seqs, scores = all_sequence_scores(model, texts)
-            assert log_partition(model, texts) == pytest.approx(float(scores[0]))
+            assert first_label_nll(model, texts) + scores[0] == pytest.approx(float(scores[0]))
 
     @settings(max_examples=150, deadline=None)
     @given(tiny_models())
     def test_matches_brute_force(self, instance):
         model, texts = instance
-        expected = brute_log_partition(model, texts)
-        assert log_partition(model, texts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        _, scores = all_sequence_scores(model, texts)
+        expected = brute_log_partition(model, texts) - scores[0]
+        assert first_label_nll(model, texts) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_sequence_probabilities_in_unit_interval(self):
         rng = random.Random(2)
         for _ in range(30):
             model, texts, _ = random_instance(rng)
-            log_z = log_partition(model, texts)
             seqs, scores = all_sequence_scores(model, texts)
+            log_z = first_label_nll(model, texts) + scores[0]
             probs = np.exp(scores - log_z)
             assert np.all(probs > 0) and np.all(probs <= 1 + 1e-12)
             assert probs.sum() == pytest.approx(1.0, rel=1e-9)
 
 
 class TestMarginals:
+    """The marginals, read off the gradient: expected minus observed counts."""
+
     def test_rows_sum_to_one(self):
+        # A feature's gradient row adds, per position holding it, the label
+        # marginals minus the gold label's one, and a transition gradient adds
+        # the pairwise marginals minus the gold pair's one. At l2 = 0 each
+        # sums to 0 exactly when the marginals sum to 1.
         rng = random.Random(3)
         for _ in range(30):
             model, texts, _ = random_instance(rng)
-            marginals = posterior_marginals(model, texts)
-            np.testing.assert_allclose(marginals.sum(axis=1), 1.0, atol=1e-9)
+            _, grad = nll_and_gradient(model, texts, [model.labels[0]] * len(texts))
+            split = len(model.feature_index) * model.n_labels
+            emission_grad = grad[:split].reshape(-1, model.n_labels)
+            np.testing.assert_allclose(emission_grad.sum(axis=1), 0.0, atol=1e-9)
+            np.testing.assert_allclose(grad[split:].sum(), 0.0, atol=1e-9)
 
     @settings(max_examples=150, deadline=None)
     @given(tiny_models())
     def test_match_enumeration(self, instance):
         model, texts = instance
-        np.testing.assert_allclose(posterior_marginals(model, texts),
-                                   brute_marginals(model, texts), rtol=1e-9, atol=1e-12)
+        gold = [model.labels[0]] * len(texts)
+        np.testing.assert_allclose(nll_and_gradient(model, texts, gold)[1],
+                                   brute_gradient(model, texts, gold), rtol=1e-9, atol=1e-12)
 
 
 class TestGradient:
@@ -431,7 +468,9 @@ class TestViterbi:
             model, texts, _ = random_instance(rng)
             decoded = viterbi(model, texts)
             _, scores = all_sequence_scores(model, texts)
-            assert sequence_score(model, texts, decoded) == pytest.approx(float(scores.max()))
+            # A labelling's score is log Z minus its NLL.
+            score = brute_log_partition(model, texts) - nll_and_gradient(model, texts, decoded)[0]
+            assert score == pytest.approx(float(scores.max()))
 
 
 def separable_data():
@@ -511,6 +550,12 @@ class TestTrain:
         with pytest.raises(ValidationError, match=re.escape(f"l2 must be finite and >= 0, "
                                                             f"got {l2!r}")):
             TrainConfig(l2=l2)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "decay"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_setting(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+            TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("l2", [0.0, 0.1])
     def test_l2_is_read_from_the_config(self, l2):
@@ -646,9 +691,6 @@ class TestScaledRecursion:
         model = CrfModel.build(["A"], [texts[:3]])
         model.weights = np.random.default_rng(0).normal(0.0, 2.0, size=model.weights.shape)
         gold = ["A"] * len(texts)
-        assert log_partition(model, texts) == pytest.approx(
-            sequence_score(model, texts, gold), rel=RTOL, abs=ATOL)
-        np.testing.assert_allclose(posterior_marginals(model, texts), 1.0, rtol=RTOL)
         nll, grad = nll_and_gradient(model, texts, gold)
         assert nll == pytest.approx(0.0, abs=ATOL)
         np.testing.assert_allclose(grad, 0.0, atol=ATOL)
@@ -657,7 +699,7 @@ class TestScaledRecursion:
         model = CrfModel.build(["A", "B", "C"], [["gut"]])
         model.weights = np.random.default_rng(1).normal(0.0, 2.0, size=model.weights.shape)
         emissions = oracle_emissions(model, oracle_feature_ids(model, ["gut"]))
-        log_z, unary, moves = _forward_backward(emissions, model.transitions, marginals=True)
+        log_z, unary, moves = _forward_backward(emissions, model.transitions)
         assert log_z == pytest.approx(_oracle_logsumexp(emissions[0]), rel=RTOL)
         np.testing.assert_allclose(unary, np.exp(emissions - log_z), rtol=RTOL)
         assert np.array_equal(moves, np.zeros((3, 3)))
@@ -669,10 +711,13 @@ class TestScaledRecursion:
         for _ in range(10):
             model, texts, _ = random_instance(random.Random(int(rng.integers(1000))))
             model.transitions[:] = level + rng.normal(0.0, 2.0, size=model.transitions.shape)
-            assert log_partition(model, texts) == pytest.approx(
-                brute_log_partition(model, texts), rel=RTOL, abs=ATOL)
-            np.testing.assert_allclose(posterior_marginals(model, texts),
-                                       brute_marginals(model, texts), rtol=RTOL, atol=ATOL)
+            _, scores = all_sequence_scores(model, texts)
+            gold = [model.labels[0]] * len(texts)
+            nll, grad = nll_and_gradient(model, texts, gold)
+            assert nll == pytest.approx(brute_log_partition(model, texts) - scores[0],
+                                        rel=RTOL, abs=ATOL)
+            np.testing.assert_allclose(grad, brute_gradient(model, texts, gold),
+                                       rtol=RTOL, atol=ATOL)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("emissions", [
@@ -832,7 +877,7 @@ class TestMatchesOracles:
         alpha, beta = oracle_forward(one, transitions), oracle_backward(one, transitions)
         pairwise = np.exp(alpha[:-1, :, None] + transitions
                           + (one[1:] + beta[1:])[:, None, :] - log_z[0])
-        got_z, unary, moves = _forward_backward(one, transitions, marginals=True)
+        got_z, unary, moves = _forward_backward(one, transitions)
         assert got_z == pytest.approx(log_z[0], rel=RTOL, abs=ATOL)
         np.testing.assert_allclose(unary, np.exp(alpha + beta - log_z[0]), rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(moves, pairwise.sum(axis=0), rtol=RTOL, atol=ATOL)
@@ -922,8 +967,7 @@ def mixed_length_datasets(draw):
 @given(mixed_length_datasets())
 def test_batched_dataset_nll_matches_per_sequence_sum(instance):
     model, data, l2 = instance
-    expected = sum(log_partition(model, texts) - sequence_score(model, texts, labels)
-                   for texts, labels in data)
+    expected = sum(nll_and_gradient(model, texts, labels)[0] for texts, labels in data)
     expected += 0.5 * l2 * float(np.dot(model.weights, model.weights))
     assert dataset_nll(model, data, l2) == pytest.approx(expected, rel=1e-12, abs=0)
 

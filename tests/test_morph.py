@@ -1,5 +1,8 @@
+import importlib.util
+import os
 import random
 import string
+from importlib import resources
 
 import pytest
 
@@ -138,3 +141,22 @@ class TestBundledData:
 
     def test_no_stoplisted_bases(self, lexicon):
         assert not set(lexicon.entries) & lexicon.stoplist
+
+
+def test_lexicon_generator_writes_the_bundled_files(tmp_path, monkeypatch, capsys):
+    """`tools/make_lexicon_data.py` gives the bundled verbs.tsv and antonyms.tsv byte for byte.
+
+    So a hand edit of either file, which the generator would undo, fails here.
+    """
+    tool = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "make_lexicon_data.py")
+    spec = importlib.util.spec_from_file_location("make_lexicon_data", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    (tmp_path / "src" / "claimaug" / "data").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    generator.main()
+    assert capsys.readouterr().out.startswith("wrote ")
+    bundled = resources.files("claimaug") / "data"
+    for name in ("verbs.tsv", "antonyms.tsv"):
+        written = (tmp_path / "src" / "claimaug" / "data" / name).read_bytes()
+        assert written == (bundled / name).read_bytes(), name

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 
@@ -144,6 +145,13 @@ class TestFgsm:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValidationError, match="epsilon must be >= 0"):
             ClfTrainConfig(epsilon=-0.1)
+
+    @pytest.mark.parametrize("name,message", [("learning_rate", "learning_rate must be finite"),
+                                              ("epsilon", "epsilon must be >= 0 and finite")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_rejected(self, name, message, value):
+        with pytest.raises(ValidationError, match=f"^{message}, got {value!r}$"):
+            ClfTrainConfig(**{name: value})
 
 
 class TestSoftmax:
