@@ -190,7 +190,8 @@ def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
 
 def _augment(sentences, config: aug.AugmentConfig, *, entities: str | None, offline: bool,
              llm_endpoint: str | None, workers: int) -> list[aug.AugmentedSample]:
-    dictionary = _parse_file(entities, load_entity_dictionary_file) if entities else None
+    dictionary = (_parse_file(entities, load_entity_dictionary_file)
+                  if entities is not None else None)
     client = (EchoLlmClient() if offline
               else HttpLlmClient(llm_endpoint) if llm_endpoint else None)
     return aug.augment_minority(sentences, config, entities=dictionary, llm_client=client,
@@ -226,6 +227,8 @@ def cmd_augment(args) -> int:
         if value is not None and args.method != reader:
             raise ConfigurationError(f"{flag} is read only by --method {reader}, "
                                      f"not by --method {args.method}")
+    if args.entities is not None and not os.path.exists(args.entities):
+        raise ConfigurationError(f"--entities file not found: {args.entities}")
     _, sentences = _load_sentences(args.data, args.schema)
     config = aug.AugmentConfig(
         target_class=args.target_class,

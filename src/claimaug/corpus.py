@@ -160,6 +160,11 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     otherwise become part of the first token. Equal token texts and labels
     across the whole file are one string object each, so a corpus holds one
     string per distinct token or label rather than one per token.
+
+    The text is split at each pair of line feeds (LF LF) and read one chunk
+    at a time, so only one chunk's lines are held as strings at once. A
+    file whose blocks are separated only by CR LF CR LF holds no LF LF: it
+    is one chunk, parsed the same but with every line held at once.
     """
     try:
         text = data.decode("utf-8")
@@ -168,28 +173,34 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     if text.startswith("\ufeff"):
         raise ParseError("file starts with a UTF-8 byte-order mark; save it without one")
     known = frozenset(schema.labels)
-    lines = text.splitlines()
     documents: list[Document] = []
     # Maps each text to its first string object, so equal texts share one.
     shared: dict[str, str] = {}
-    start = 0
-    # A blank or whitespace-only line ends a block; the sentinel ends the last.
-    for end, raw in enumerate(lines + [""]):
-        if raw and not raw.isspace():
-            continue
-        if end > start:
-            block = lines[start:end]
-            fields = "\t".join(block).split("\t")
-            texts, labels = fields[0::2], fields[1::2]
-            if (len(fields) != 2 * len(block) or not all(map(operator.contains, block, _TABS))
-                    or not all(texts) or _WHITESPACE.search("".join(texts))
-                    or not known.issuperset(labels)):
-                _raise_first_fault(block, start + 1, known)
-            documents.append(Document(id=f"d{len(documents)}",
-                                      texts=tuple(map(shared.setdefault, texts, texts)),
-                                      token_labels=tuple(map(shared.setdefault, labels,
-                                                             labels))))
-        start = end + 1
+    first_line = 1
+    for chunk in text.split("\n\n"):
+        # The chunk with its "\n\n" put back: its lines, then the empty line
+        # that ends its last block (after the last chunk, a sentinel).
+        lines = (chunk + "\n\n").splitlines()
+        start = 0
+        # A blank or whitespace-only line ends a block.
+        for end, raw in enumerate(lines):
+            if raw and not raw.isspace():
+                continue
+            if end > start:
+                block = lines[start:end]
+                fields = "\t".join(block).split("\t")
+                texts, labels = fields[0::2], fields[1::2]
+                if (len(fields) != 2 * len(block)
+                        or not all(map(operator.contains, block, _TABS))
+                        or not all(texts) or _WHITESPACE.search("".join(texts))
+                        or not known.issuperset(labels)):
+                    _raise_first_fault(block, first_line + start, known)
+                documents.append(Document(id=f"d{len(documents)}",
+                                          texts=tuple(map(shared.setdefault, texts, texts)),
+                                          token_labels=tuple(map(shared.setdefault, labels,
+                                                                 labels))))
+            start = end + 1
+        first_line += len(lines)
     return Dataset(schema=schema, documents=tuple(documents))
 
 

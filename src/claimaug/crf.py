@@ -109,15 +109,18 @@ class CrfModel:
     """Label set, feature dictionary, and one dense weight vector.
 
     Weights are laid out as F*L emission weights (feature-major) followed by
-    L*L transition weights. Two memos are never serialized. `_token_memo`
+    L*L transition weights. Three memos are never serialized. `_token_memo`
     maps each distinct token to `(values, unigram_ids, bigram_prefixes,
     pairs)`: its seven template values, the packed int32 ids of its seven
     unigram strings, the seven bigram strings it starts as the previous
     token (each missing only the next token's value), and a dict from each
     token seen after it to the packed ids of the seven bigrams of that pair.
-    `_start_pairs` is the same pairs dict for the sentence start. Both hold
-    ids, never weights, which `train` and callers change in place; they grow
-    by about 100 bytes per distinct token pair and go with the model.
+    `_start_pairs` is the same pairs dict for the sentence start. `_groups`
+    maps each packed id group `_feature_ids` makes to its first bytes
+    object, so equal groups in the other two are one object; `build` makes
+    new ids, so its groups are not shared. All three hold ids, never
+    weights, which `train` and callers change in place; they grow by about
+    100 bytes per distinct token pair and go with the model.
     After `build` they hold every token and token pair of its sequences, so
     `_feature_ids` on a training sequence formats no feature string.
     """
@@ -128,6 +131,8 @@ class CrfModel:
     _token_memo: dict[str, _MemoEntry] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _start_pairs: dict[str, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _groups: dict[bytes, bytes] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -351,7 +356,13 @@ def _feature_ids(model: CrfModel, texts: Sequence[str]) -> np.ndarray:
     object; nothing writes to it.
     """
     get = model.feature_index.get
-    packed = _packed_ids(model, texts, lambda features: _pack_ids(*map(get, features, _ABSENT)))
+    share = model._groups.setdefault
+
+    def pack(features: Iterable[str]) -> bytes:
+        group = _pack_ids(*map(get, features, _ABSENT))
+        return share(group, group)
+
+    packed = _packed_ids(model, texts, pack)
     return np.frombuffer(packed, np.int32).reshape(-1, _N_FEATURES)
 
 

@@ -285,6 +285,25 @@ class TestAugmentCommand:
         assert f"{flag} is read only by --method {reader}, not by --method {method}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path", ["", "absent.tsv"])
+    def test_missing_entities_file_exits_2(self, fixture_dir, tmp_path, capsys, monkeypatch,
+                                           path):
+        """An empty `--entities` is a missing file, as an empty `entities =` is."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli, "_load_sentences", no_work)
+        out = tmp_path / "er"
+        code, _, err = run(capsys, "augment",
+                           "--data", os.path.join(fixture_dir, "corpus.tsv"),
+                           "--schema", os.path.join(fixture_dir, "schema.cfg"),
+                           "--method", "er", "--target-class", "CLA", "--n-samples", "2",
+                           "--seed", "1", "--out", str(out),
+                           "--entities", path and str(tmp_path / path))
+        assert code == 2
+        assert "--entities file not found" in err
+        assert not out.exists()
+
     def test_llm_endpoint_4xx_exits_2_after_one_request(self, fixture_dir, tmp_path, capsys,
                                                         monkeypatch):
         requests = []

@@ -1,11 +1,12 @@
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from claimaug import corpus, morph
+from claimaug import corpus, morph, synth
 from claimaug.corpus import (
     Dataset,
     Document,
@@ -218,7 +219,12 @@ def reference_parse(data: bytes, schema: LabelSchema) -> Dataset:
 SCHEMA = LabelSchema(outside_label="O", categories=("CLA", "QUE"))
 # Blank and whitespace-only lines separate blocks; `\x0c` also ends a line.
 SEPARATORS = st.lists(st.sampled_from(["", " ", "\t", " \t ", "\xa0", "\x0c"]), max_size=3)
-LINE_ENDINGS = st.sampled_from(["\n", "\r\n", "\x0c"])
+# Every line boundary of `str.splitlines`, with "\n" drawn about half the
+# time: the parser reads a file in chunks split at "\n\n", so most files
+# drawn hold several. A "\r" ending before a blank line's "\n" makes the
+# "\r\n\n" that a chunk can end in.
+LINE_ENDINGS = st.one_of(st.just("\n"), st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]))
 
 
 @st.composite
@@ -285,6 +291,26 @@ def test_block_parser_raises_the_line_parsers_error(lines, fault, data):
     expected = outcome(reference_parse, encoded)
     assert isinstance(expected, tuple)
     assert outcome(parse_token_label_file, encoded) == expected
+
+
+def test_parse_holds_little_beyond_the_dataset():
+    """Beyond the Dataset it returns, the parse holds at most 4x the input at its peak.
+
+    Lines are made one chunk at a time; a parser that splits the whole file
+    into line strings first peaks at about 10x.
+    """
+    sizes = {label: 2 * n for label, n in synth.DEFAULT_SIZES.items()}
+    dataset, _ = synth.generate(sizes=sizes, seed=1)
+    data = serialize_token_label_file(dataset.documents)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        parsed = parse_token_label_file(data, dataset.schema)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [doc.texts for doc in parsed.documents] == [doc.texts for doc in dataset.documents]
+    assert peak - retained <= 4 * len(data)
 
 
 def test_byte_order_mark_is_refused(schema):

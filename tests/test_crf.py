@@ -416,6 +416,27 @@ class TestFeatureIds:
         assert loaded._token_memo == {}
         assert "_token_memo" not in repr(loaded)
 
+    def test_read_path_shares_equal_id_groups(self, tmp_path):
+        """After a load, equal packed groups in the memos are one bytes object."""
+        train_set, _ = synth.generate(sizes={"CLA": 4, "EXP": 6, "O": 20, "PER": 8, "QUE": 6},
+                                      seed=3)
+        unseen, _ = synth.generate(sizes={"CLA": 4, "EXP": 6, "O": 20, "PER": 8, "QUE": 6},
+                                   seed=4)
+        path = tmp_path / "model.json"
+        CrfModel.build(train_set.schema.labels, [d.texts for d in train_set.documents]
+                       ).save(str(path))
+        model = CrfModel.load(str(path))
+        index = model.feature_index
+        for doc in unseen.documents + train_set.documents:
+            expected = [[index.get(f, -1) for f in feats]
+                        for feats in extract_features(doc.texts)]
+            assert _feature_ids(model, doc.texts).tolist() == expected
+        groups = list(model._start_pairs.values())
+        for _, unigram_ids, _, pairs in model._token_memo.values():
+            groups += [unigram_ids, *pairs.values()]
+        assert len(set(groups)) < len(groups)  # some groups repeat
+        assert len({id(group) for group in groups}) == len(set(groups))
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=6), min_size=1,
                     max_size=5))
