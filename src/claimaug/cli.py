@@ -48,25 +48,11 @@ from .errors import (
     ValidationError,
 )
 from .llmclient import EchoLlmClient, HttpLlmClient
-from .util import atomic_write_bytes, atomic_write_text, parse_kv_config
+from .util import atomic_write_bytes, atomic_write_text, decode_text, parse_kv_config
 
 EXIT_INPUT = 2
 EXIT_NO_AUGMENTATIONS = 3
 EXIT_DIVERGED = 4
-
-
-def _read_text(path: str) -> str:
-    """The file's UTF-8 text; one that starts with a byte-order mark is refused."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            text = f.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-                             ) from None
-    if text.startswith("\ufeff"):
-        raise ParseError(f"{path}: file starts with a UTF-8 byte-order mark; "
-                         "save it without one")
-    return text
 
 
 def _read_bytes(path: str) -> bytes:
@@ -74,12 +60,15 @@ def _read_bytes(path: str) -> bytes:
         return f.read()
 
 
+def _read_text(path: str) -> str:
+    return decode_text(_read_bytes(path))
+
+
 def _parse_file(path: str, parse: typing.Callable[[typing.Any], typing.Any],
                 read: typing.Callable[[str], typing.Any] = _read_text):
-    """`parse` of what `read` gets from the file; its ParseError or SchemaError names the file."""
-    data = read(path)
+    """`parse` of what `read` gets from the file; a ParseError or SchemaError names the file."""
     try:
-        return parse(data)
+        return parse(read(path))
     except (ParseError, SchemaError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -123,12 +112,7 @@ def cmd_stats(args) -> int:
     dataset = _load_dataset(args.data, _load_schema(args.schema))
     stats = dataset_stats(dataset)
     if args.format == "json":
-        print(json.dumps({
-            "n_texts": stats.n_texts,
-            "n_unique_words": stats.n_unique_words,
-            "max_length": stats.max_length,
-            "label_dist": stats.label_dist,
-        }, indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(stats), indent=2, sort_keys=True))
     else:
         print(f"texts: {stats.n_texts}")
         print(f"unique_words: {stats.n_unique_words}")
@@ -156,25 +140,25 @@ def cmd_build_lexicons(args) -> int:
     pool = aug.build_verb_pool(sentences, lexicon)
     dictionary = aug.build_entity_dictionary(sentences)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    for base in pool:
-        forms = lexicon.entries[base]
-        rows.append(f"{base}\t{forms.present_3sg}\t{forms.past}"
-                    f"\t{forms.gerund}\t{forms.past_participle}")
     atomic_write_text(os.path.join(args.out, "verbs.tsv"),
-                      "\n".join(rows) + "\n" if rows else "")
-    entity_rows = [f"{category}\t{' '.join(form)}"
-                   for category in sorted(dictionary.entries)
-                   for form in dictionary.entries[category]]
+                      morph.format_verb_lexicon(lexicon, pool))
     atomic_write_text(os.path.join(args.out, "entities.tsv"),
-                      "\n".join(entity_rows) + "\n" if entity_rows else "")
+                      format_entity_dictionary(dictionary))
     print(f"verbs: {len(pool)}")
-    print(f"entities: {len(entity_rows)} in {len(dictionary.entries)} categories")
+    print(f"entities: {sum(map(len, dictionary.entries.values()))} "
+          f"in {len(dictionary.entries)} categories")
     return 0
 
 
+def format_entity_dictionary(dictionary: aug.EntityDictionary) -> str:
+    """The `CATEGORY<TAB>entity tokens` lines that `load_entity_dictionary_file` reads."""
+    return "".join(f"{category}\t{' '.join(form)}\n"
+                   for category in sorted(dictionary.entries)
+                   for form in dictionary.entries[category])
+
+
 def load_entity_dictionary_file(text: str) -> aug.EntityDictionary:
-    """Parse `CATEGORY<TAB>entity tokens` lines, as `build-lexicons` writes them."""
+    """Parse `CATEGORY<TAB>entity tokens` lines, as `format_entity_dictionary` writes them."""
     entries: dict[str, list[tuple[str, ...]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -273,7 +257,7 @@ def cmd_make_fixture(args) -> int:
     atomic_write_text(os.path.join(args.out, "schema.cfg"),
                       format_schema_config(dataset.schema))
     atomic_write_text(os.path.join(args.out, "bookkeeping.json"),
-                      json.dumps(bookkeeping.to_dict(), indent=2, sort_keys=True))
+                      json.dumps(dataclasses.asdict(bookkeeping), indent=2, sort_keys=True))
     print(f"texts: {bookkeeping.n_texts}")
     print(f"sentences: {bookkeeping.n_sentences}")
     per_class = " ".join(f"{l}={bookkeeping.per_class_sentences[l]}"
@@ -421,6 +405,15 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _print_report(result: metrics_mod.MetricsReport | metrics_mod.Comparison, args) -> int:
+    """Print `result` in `--format`, and write the same text to `--out` if given."""
+    output = result.to_json() if args.format == "json" else result.to_text()
+    if args.out:
+        atomic_write_text(args.out, output)
+    print(output, end="" if output.endswith("\n") else "\n")
+    return 0
+
+
 def cmd_eval(args) -> int:
     schema = _load_schema(args.schema)
     gold = _load_gold(args.gold, schema)
@@ -436,11 +429,7 @@ def cmd_eval(args) -> int:
     pred_labels = [l for doc in pred.documents for l in doc.token_labels]
     report = metrics_mod.score(gold_labels, pred_labels, schema,
                                include_outside=not args.exclude_outside)
-    output = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        atomic_write_text(args.out, output)
-    print(output, end="" if output.endswith("\n") else "\n")
-    return 0
+    return _print_report(report, args)
 
 
 def cmd_compare(args) -> int:
@@ -452,12 +441,7 @@ def cmd_compare(args) -> int:
         if name in reports:
             raise ConfigurationError(f"--reports names {name!r} twice")
         reports[name] = _parse_file(path, metrics_mod.MetricsReport.from_json)
-    comparison = metrics_mod.compare(reports)
-    output = comparison.to_json() if args.format == "json" else comparison.to_text()
-    if args.out:
-        atomic_write_text(args.out, output)
-    print(output, end="" if output.endswith("\n") else "\n")
-    return 0
+    return _print_report(metrics_mod.compare(reports), args)
 
 
 def run_experiment(config: dict[str, str], workers: int = 1) -> metrics_mod.MetricsReport:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, NoReturn, Protocol, Sequence
 
 from .errors import ParseError, SchemaError, ValidationError
-from .util import parse_kv_config
+from .util import decode_text, parse_kv_config
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class LabelSchema:
         object.__setattr__(self, "categories", tuple(self.categories))
         if not self.categories:
             raise SchemaError("schema needs at least one category")
+        if not self.outside_label or "" in self.categories:
+            raise SchemaError("schema labels must not be empty, got outside "
+                              f"{self.outside_label!r} and categories {self.categories}")
         if len(set(self.categories)) != len(self.categories):
             raise SchemaError(f"duplicate categories: {self.categories}")
         if self.outside_label in self.categories:
@@ -155,9 +158,8 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     program here, so this is where the check lives, with the line number.
     Each block is checked as a whole: its lines joined by tabs must split
     into token, label pairs, one per line. Only a block that fails is read
-    line by line, to raise the first fault with its line number. A file
-    that starts with a byte-order mark is refused, since the mark would
-    otherwise become part of the first token. Equal token texts and labels
+    line by line, to raise the first fault with its line number. The bytes
+    are decoded by `decode_text`. Equal token texts and labels
     across the whole file are one string object each, so a corpus holds one
     string per distinct token or label rather than one per token.
 
@@ -166,12 +168,7 @@ def parse_token_label_file(data: bytes, schema: LabelSchema) -> Dataset:
     file whose blocks are separated only by CR LF CR LF holds no LF LF: it
     is one chunk, parsed the same but with every line held at once.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}")
-    if text.startswith("\ufeff"):
-        raise ParseError("file starts with a UTF-8 byte-order mark; save it without one")
+    text = decode_text(data)
     known = frozenset(schema.labels)
     documents: list[Document] = []
     # Maps each text to its first string object, so equal texts share one.

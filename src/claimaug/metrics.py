@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .corpus import LabelSchema
@@ -36,11 +36,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {
-            "per_class": {
-                label: {"precision": m.precision, "recall": m.recall,
-                        "f1": m.f1, "support": m.support}
-                for label, m in self.per_class.items()
-            },
+            "per_class": {label: asdict(m) for label, m in self.per_class.items()},
             "macro": {"precision": self.macro_precision, "recall": self.macro_recall,
                       "f1": self.macro_f1},
             "absent": list(self.absent),

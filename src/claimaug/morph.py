@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from importlib import resources
+from typing import Iterable
 
 from .errors import ParseError, ValidationError
 
@@ -174,6 +175,11 @@ def load_verb_lexicon(text: str, stoplist: frozenset[str] | None = None) -> Verb
         entries[base] = VerbForms(*filled)
     return VerbLexicon(entries=entries, reverse=_build_reverse(entries),
                        stoplist=stoplist or frozenset())
+
+
+def format_verb_lexicon(lexicon: VerbLexicon, bases: Iterable[str]) -> str:
+    """The verb TSV rows of `bases`, in the given order, with every form spelt out."""
+    return "".join("\t".join((base, *astuple(lexicon.entries[base]))) + "\n" for base in bases)
 
 
 def load_antonyms(text: str) -> AntonymLexicon:

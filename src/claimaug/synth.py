@@ -74,6 +74,9 @@ VERBS = {
 PROPER_NAMES = ("Zenadol", "Biovita", "Normix", "Flovana", "Gastrix", "Culvita",
                 "Merrin", "Dolvex", "Panrex", "Veltra")
 
+# Share of non-outside sentences whose final token is labelled outside.
+IMPURE_FRAC = 0.12
+
 _TENSES = (morph.Tense.BASE, morph.Tense.PRESENT_3SG, morph.Tense.PAST)
 
 
@@ -88,17 +91,6 @@ class Bookkeeping:
     label_token_dist: dict[str, int]
     n_unique_words: int
     max_length: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_texts": self.n_texts,
-            "n_sentences": self.n_sentences,
-            "n_uniform": self.n_uniform,
-            "per_class_sentences": self.per_class_sentences,
-            "label_token_dist": self.label_token_dist,
-            "n_unique_words": self.n_unique_words,
-            "max_length": self.max_length,
-        }
 
 
 def _draws(rng: random.Random):
@@ -147,8 +139,7 @@ def _draws(rng: random.Random):
     return below, sample, shuffle
 
 
-def generate(sizes: dict[str, int] | None = None, seed: int = 0,
-             impure_frac: float = 0.12) -> tuple[Dataset, Bookkeeping]:
+def generate(sizes: dict[str, int] | None = None, seed: int = 0) -> tuple[Dataset, Bookkeeping]:
     """Generate an imbalanced corpus; returns it with the generator's own tallies."""
     sizes = dict(DEFAULT_SIZES if sizes is None else sizes)
     for label in sizes:
@@ -191,7 +182,7 @@ def generate(sizes: dict[str, int] | None = None, seed: int = 0,
             texts.append("?" if label == "QUE" else ("!" if uniform01() < 0.1 else "."))
 
             labels = [label] * len(texts)
-            if label != outside and uniform01() < impure_frac:
+            if label != outside and uniform01() < IMPURE_FRAC:
                 labels[-1] = outside
                 label_dist[outside] += 1
                 label_dist[label] += len(texts) - 1

@@ -36,9 +36,13 @@ class EmbeddingTable:
     def random(cls, tokens: Sequence[str], dim: int, seed: int) -> "EmbeddingTable":
         vocab = {t: i for i, t in enumerate(sorted(set(tokens)))}
         rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(dim)
-        matrix = rng.normal(0.0, scale, size=(len(vocab), dim))
-        oov = rng.normal(0.0, scale, size=dim)
+        try:
+            scale = 1.0 / np.sqrt(dim)
+            matrix = rng.normal(0.0, scale, size=(len(vocab), dim))
+            oov = rng.normal(0.0, scale, size=dim)
+        except (MemoryError, ValueError, TypeError):
+            raise ValidationError(f"dim = {dim} is too large: an embedding matrix of "
+                                  f"{len(vocab)} tokens that wide cannot be allocated") from None
         return cls(vocab=vocab, matrix=matrix, oov=oov)
 
     @classmethod

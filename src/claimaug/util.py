@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, atomic file writes, config parsing, model checks."""
+"""Small shared helpers: seeds, text decoding, atomic file writes, config parsing, model checks."""
 
 from __future__ import annotations
 
@@ -24,6 +24,21 @@ def derive_seed(*parts: object) -> int:
 
     data = "".join(f"{part!r}\x1f" for part in parts).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+def decode_text(data: bytes) -> str:
+    """The text of an input file's bytes, which must be UTF-8 without a byte-order mark.
+
+    Raises ParseError naming the first byte that is not UTF-8, or refusing a
+    leading mark, which would otherwise become part of the first line.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if text.startswith("\ufeff"):
+        raise ParseError("file starts with a UTF-8 byte-order mark; save it without one")
+    return text
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

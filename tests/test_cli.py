@@ -1330,8 +1330,16 @@ class TestConfigCheck:
         assert "key 'outside' repeats line 1" in err
 
 
-@pytest.mark.parametrize("kind", ["corpus", "schema", "run config", "entities"])
-def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir, capsys, kind):
+@pytest.mark.parametrize("kind, prefix, message", [
+    pytest.param(kind, prefix, message, id=kind + suffix)
+    for prefix, message, suffix in (
+        (b"\xef\xbb\xbf", "file starts with a UTF-8 byte-order mark", ""),
+        (b"\xff", "not UTF-8 text (invalid start byte at byte 0)", " not UTF-8"))
+    for kind in ("corpus", "schema", "run config", "entities")])
+def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir, capsys, kind,
+                                                 prefix, message):
+    """An input file that starts with a byte-order mark, or with a byte that is not UTF-8,
+    gets one message, whatever its kind."""
     corpus = os.path.join(fixture_dir, "corpus.tsv")
     schema = os.path.join(fixture_dir, "schema.cfg")
     config = experiment_config(tmp_path, fixture_dir, dev_dir, "textclf")
@@ -1341,7 +1349,7 @@ def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir,
               "entities": str(entities)}[kind]
     marked = tmp_path / ("marked-" + os.path.basename(source))
     with open(source, "rb") as f:
-        marked.write_bytes(b"\xef\xbb\xbf" + f.read())
+        marked.write_bytes(prefix + f.read())
     corpus, schema, config, entities = (str(marked) if path == source else path
                                         for path in (corpus, schema, config, str(entities)))
     argv = (["run-experiment", "--config", config] if kind == "run config" else
@@ -1350,8 +1358,56 @@ def test_byte_order_mark_exits_2_naming_the_file(tmp_path, fixture_dir, dev_dir,
              "--out", str(tmp_path / "er"), "--entities", entities])
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert f"error: {marked}: " in err and "starts with a UTF-8 byte-order mark" in err
+    assert f"error: {marked}: {message}" in err
     assert out == ""
+
+
+def test_empty_outside_label_exits_2_naming_the_schema(tmp_path, capsys):
+    """A forgotten corpus label is not read as the outside class of a schema whose outside
+    label is empty."""
+    schema = tmp_path / "schema.cfg"
+    schema.write_text("outside =\ncategories = CLA, EXP, PER, QUE, O\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("They\tCLA\nfeels\t\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--data", str(corpus), "--schema", str(schema))
+    assert code == 2
+    assert f"error: {schema}: schema labels must not be empty" in err
+    assert out == ""
+
+
+# Entity categories and tokens that a line of the file holds unchanged.
+ENTITY_WORDS = st.text(alphabet="ABCXYZabcxyz019%-.", min_size=1, max_size=5)
+
+
+ENTITY_FORMS = st.lists(ENTITY_WORDS, min_size=1, max_size=3).map(tuple)
+
+
+@given(st.dictionaries(ENTITY_WORDS, st.lists(ENTITY_FORMS, min_size=1, max_size=4, unique=True),
+                       max_size=4))
+def test_formatted_entity_dictionary_loads_equal_entries(entries):
+    dictionary = aug.EntityDictionary(entries={c: tuple(forms) for c, forms in entries.items()})
+    text = cli.format_entity_dictionary(dictionary)
+    assert cli.load_entity_dictionary_file(text) == dictionary
+
+
+@pytest.mark.parametrize("dim", [2**50, 2**63, 2**64])
+def test_oversized_dim_exits_2(tmp_path, fixture_dir, capsys, dim):
+    """An embedding matrix too large to allocate exits 2; these sizes allocate nothing.
+
+    2**50 float64 columns exceed a 47-bit address space even for one token,
+    2**63 exceeds numpy's largest dimension and 2**64 an int64."""
+    config = tmp_path / "clf.cfg"
+    model_out = tmp_path / "clf-model.json"
+    config.write_text("\n".join([
+        f"train = {os.path.join(fixture_dir, 'corpus.tsv')}",
+        f"schema = {os.path.join(fixture_dir, 'schema.cfg')}",
+        "seed = 1", "epochs = 1", f"dim = {dim}", f"model_out = {model_out}",
+    ]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "train-clf", "--config", str(config))
+    assert code == 2
+    assert f"error: dim = {dim} is too large: an embedding matrix of " in err
+    assert " tokens that wide cannot be allocated" in err
+    assert not model_out.exists()
 
 
 @pytest.mark.parametrize("kind", ["schema line", "duplicate categories", "train-crf config",

@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from claimaug import corpus, morph, synth
@@ -33,6 +33,13 @@ class TestSchema:
     def test_duplicate_categories_rejected(self):
         with pytest.raises(SchemaError):
             LabelSchema(outside_label="O", categories=("CLA", "CLA"))
+
+    @pytest.mark.parametrize("outside, categories", [("", ("CLA", "QUE")),
+                                                     ("O", ("CLA", "")), ("O", ("",))],
+                             ids=["outside", "category", "only category"])
+    def test_empty_label_rejected(self, outside, categories):
+        with pytest.raises(SchemaError, match="^schema labels must not be empty"):
+            LabelSchema(outside_label=outside, categories=categories)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(SchemaError):
@@ -186,7 +193,7 @@ def reference_parse(data: bytes, schema: LabelSchema) -> Dataset:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}")
+        raise ParseError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     documents: list[Document] = []
     texts: list[str] = []
     labels: list[str] = []
@@ -316,6 +323,22 @@ def test_parse_holds_little_beyond_the_dataset():
 def test_byte_order_mark_is_refused(schema):
     with pytest.raises(ParseError, match="starts with a UTF-8 byte-order mark"):
         parse_token_label_file("\ufeffFolks\tO\n".encode("utf-8"), schema)
+
+
+def test_bytes_that_are_not_utf8_are_refused_naming_the_first(schema):
+    with pytest.raises(ParseError) as exc:
+        parse_token_label_file(b"I\tO\xff\n", schema)
+    assert str(exc.value) == "not UTF-8 text (invalid start byte at byte 3)"
+
+
+@given(token_label_lines(), st.binary(min_size=1, max_size=3), st.data())
+def test_inserted_bytes_give_the_line_parsers_outcome(lines, inserted, data):
+    """Bytes put anywhere, even inside a character, decode or fail as the reference says."""
+    encoded = join_lines(data.draw, lines)
+    at = data.draw(st.integers(0, len(encoded)))
+    encoded = encoded[:at] + inserted + encoded[at:]
+    assume(not encoded.startswith(b"\xef\xbb\xbf"))
+    assert outcome(parse_token_label_file, encoded) == outcome(reference_parse, encoded)
 
 
 def test_whitespace_search_agrees_with_isspace_on_every_code_point():

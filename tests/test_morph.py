@@ -5,14 +5,18 @@ import string
 from importlib import resources
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from claimaug.errors import ParseError, ValidationError
 from claimaug.morph import (
     Tense,
     conjugate,
     detect_verb,
+    format_verb_lexicon,
     load_antonyms,
     load_default_stoplist,
+    load_default_verb_lexicon,
     load_verb_lexicon,
     regular_forms,
 )
@@ -46,6 +50,17 @@ class TestLoad:
         ant = load_antonyms("raise\tlower,drop\n")
         assert ant.get("raise") == ("lower", "drop")
         assert ant.get("unknown") == ()
+
+
+BUNDLED_BASES = sorted(load_default_verb_lexicon().entries)
+
+
+@given(st.lists(st.sampled_from(BUNDLED_BASES), unique=True, max_size=40))
+def test_formatted_lexicon_loads_the_same_forms(bases):
+    lexicon = load_default_verb_lexicon()
+    loaded = load_verb_lexicon(format_verb_lexicon(lexicon, bases))
+    assert list(loaded.entries) == bases
+    assert all(loaded.entries[base] == lexicon.entries[base] for base in bases)
 
 
 class TestRegularRules:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -146,7 +147,7 @@ class TestDrawsMatchRandomRandom:
         assert (serialize_token_label_file(dataset.documents)
                 == serialize_token_label_file(expected.documents))
         assert format_schema_config(dataset.schema) == format_schema_config(expected.schema)
-        assert bookkeeping.to_dict() == expected_bookkeeping.to_dict()
+        assert asdict(bookkeeping) == asdict(expected_bookkeeping)
 
     # random.Random.sample takes its pool path up to 21 items and its
     # rejection-set path above, for every k <= 5.
